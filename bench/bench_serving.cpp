@@ -16,7 +16,6 @@
 
 #include "bench_common.h"
 #include "common/cli.h"
-#include "common/stats.h"
 #include "common/table.h"
 #include "la/generate.h"
 #include "serve/serve_flags.h"
@@ -30,7 +29,7 @@ namespace {
 struct LoadResult {
   serve::ServeStats stats;
   serve::ServerStatus status;  ///< per-class SLO snapshot at drain
-  std::vector<double> latency;
+  double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;  ///< all served requests
   double wall_modeled_ms = 0.0;
 };
 
@@ -117,9 +116,10 @@ static int run_bench(int argc, char** argv) {
     LoadResult r;
     r.stats = server.drain();
     r.status = server.status();
-    r.latency = server.latency_samples();
+    r.p50_ms = server.latency().percentile(50.0);
+    r.p95_ms = server.latency().percentile(95.0);
+    r.p99_ms = server.latency().percentile(99.0);
     r.wall_modeled_ms = r.stats.modeled_now_ms;
-    std::sort(r.latency.begin(), r.latency.end());
     // Surface whatever --slo-report / --flight-recorder asked for, per
     // load level (the bundle path gets a ".<level>" suffix so the three
     // levels don't clobber one another).
@@ -151,9 +151,9 @@ static int run_bench(int argc, char** argv) {
         .add(r.stats.deadline_exceeded)
         .add(r.stats.breaker_opens)
         .add(r.stats.breaker_skips)
-        .add(percentile(r.latency, 50.0), 4)
-        .add(percentile(r.latency, 95.0), 4)
-        .add(percentile(r.latency, 99.0), 4)
+        .add(r.p50_ms, 4)
+        .add(r.p95_ms, 4)
+        .add(r.p99_ms, 4)
         .add(throughput, 1);
     json.add(name + "_completed", static_cast<double>(r.stats.completed));
     json.add(name + "_rejected", static_cast<double>(rejected));
@@ -161,7 +161,7 @@ static int run_bench(int argc, char** argv) {
              static_cast<double>(r.stats.deadline_exceeded));
     json.add(name + "_breaker_opens",
              static_cast<double>(r.stats.breaker_opens));
-    json.add(name + "_p99_ms", percentile(r.latency, 99.0));
+    json.add(name + "_p99_ms", r.p99_ms);
     // Per-priority-class SLO records — what the regression gate consumes.
     for (int c = 0; c < serve::kNumPriorities; ++c) {
       const serve::SloClassSnapshot& s = r.status.classes[c];

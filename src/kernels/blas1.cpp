@@ -4,53 +4,14 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "kernels/resource_profile.h"
+#include "kernels/sweep.h"
 
 namespace fusedml::kernels {
 
 namespace {
-
+using detail::launch_streaming;
 using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
-using vgpu::MemPath;
-
-/// Launch geometry for a grid-stride streaming kernel over `n` elements.
-LaunchConfig streaming_config(const vgpu::Device& dev, usize n) {
-  LaunchConfig cfg;
-  cfg.block_size = 256;
-  cfg.resources = {kBlas1RegsPerThread, 0};
-  const auto occ =
-      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
-  const int max_resident_blocks = occ.blocks_per_sm * dev.spec().num_sms;
-  const auto blocks_needed = static_cast<int>(
-      std::min<usize>((n + cfg.block_size - 1) / cfg.block_size,
-                      static_cast<usize>(max_resident_blocks)));
-  cfg.grid_size = std::max(1, blocks_needed);
-  return cfg;
-}
-
-/// Runs `body(ctx, i0, lanes)` for every warp-sized slice [i0, i0+lanes) of
-/// [0, n), distributed across blocks grid-stride — the canonical streaming
-/// kernel shape. `body` does both the functional work and the accounting.
-template <typename Body>
-vgpu::LaunchStats launch_streaming(vgpu::Device& dev, const char* label,
-                                   usize n, Body&& body) {
-  LaunchConfig cfg = streaming_config(dev, n);
-  cfg.label = label;
-  return dev.launch(cfg, [&](BlockCtx& ctx) {
-    const usize stride =
-        static_cast<usize>(ctx.grid_size()) * ctx.block_size();
-    const usize base = static_cast<usize>(ctx.block_id()) * ctx.block_size();
-    for (usize chunk = base; chunk < n; chunk += stride) {
-      const usize end = std::min(n, chunk + ctx.block_size());
-      for (usize i0 = chunk; i0 < end; i0 += 32) {
-        const int lanes = static_cast<int>(std::min<usize>(32, end - i0));
-        body(ctx, i0, lanes);
-      }
-    }
-  });
-}
-
 }  // namespace
 
 OpResult dev_axpy(vgpu::Device& dev, real alpha, std::span<const real> x,
@@ -92,23 +53,16 @@ OpResult reduction_kernel(vgpu::Device& dev, const char* label, usize n,
   OpResult out;
   out.value.assign(1, real{0});
   real& target = out.value.front();
-  LaunchConfig cfg = streaming_config(dev, n);
+  LaunchConfig cfg = detail::streaming_config(dev, n);
   cfg.label = label;
   cfg.smem_words = static_cast<usize>(cfg.block_size) / 32;  // warp partials
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     real block_sum = 0;
-    const usize stride =
-        static_cast<usize>(ctx.grid_size()) * ctx.block_size();
-    const usize base = static_cast<usize>(ctx.block_id()) * ctx.block_size();
-    for (usize chunk = base; chunk < n; chunk += stride) {
-      const usize end = std::min(n, chunk + ctx.block_size());
-      for (usize i0 = chunk; i0 < end; i0 += 32) {
-        const int lanes = static_cast<int>(std::min<usize>(32, end - i0));
-        block_sum += lane_sum(ctx, i0, lanes);
-        // Intra-warp shuffle reduce: log2(32) = 5 steps.
-        ctx.counters().shuffle_ops += 31;
-      }
-    }
+    detail::for_each_slice(ctx, n, [&](usize i0, int lanes) {
+      block_sum += lane_sum(ctx, i0, lanes);
+      // Intra-warp shuffle reduce: log2(32) = 5 steps.
+      ctx.counters().shuffle_ops += 31;
+    });
     // Warp partials into shared memory, then one atomic per block.
     const int warps = ctx.block_size() / 32;
     for (int w = 0; w < warps; ++w) ctx.smem().store(static_cast<usize>(w), 0);
@@ -214,18 +168,7 @@ OpResult dev_ewise_chain(vgpu::Device& dev, const EwiseProgram& program,
     for (int l = 0; l < lanes; ++l) {
       const usize i = i0 + l;
       for (usize k = 0; k < inputs.size(); ++k) slots[k] = inputs[k][i];
-      for (usize j = 0; j < program.steps.size(); ++j) {
-        const EwiseStep& s = program.steps[j];
-        real r = 0;
-        switch (s.op) {
-          case EwiseOp::kScale: r = s.scalar * slots[s.a]; break;
-          case EwiseOp::kAdd: r = slots[s.a] + slots[s.b]; break;
-          case EwiseOp::kMul: r = slots[s.a] * slots[s.b]; break;
-          case EwiseOp::kMap: r = s.map_fn(slots[s.a]); break;
-        }
-        slots[static_cast<usize>(program.num_inputs) + j] = r;
-      }
-      out.value[i] = slots.back();
+      out.value[i] = program.eval(slots);
     }
   }));
   return out;

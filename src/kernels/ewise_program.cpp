@@ -63,6 +63,22 @@ bool EwiseProgram::valid() const {
   return true;
 }
 
+real EwiseProgram::eval(std::span<real> slots) const {
+  for (usize j = 0; j < steps.size(); ++j) {
+    const EwiseStep& s = steps[j];
+    const real a = slots[static_cast<usize>(s.a)];
+    real r = 0;
+    switch (s.op) {
+      case EwiseOp::kScale: r = s.scalar * a; break;
+      case EwiseOp::kAdd: r = a + slots[static_cast<usize>(s.b)]; break;
+      case EwiseOp::kMul: r = a * slots[static_cast<usize>(s.b)]; break;
+      case EwiseOp::kMap: r = s.map_fn(a); break;
+    }
+    slots[static_cast<usize>(num_inputs) + j] = r;
+  }
+  return slots.back();
+}
+
 std::vector<real> EwiseProgram::evaluate(
     std::span<const std::span<const real>> inputs) const {
   FUSEDML_CHECK(valid(), "invalid ewise program");
@@ -77,18 +93,7 @@ std::vector<real> EwiseProgram::evaluate(
   std::vector<real> slots(static_cast<usize>(num_inputs) + steps.size());
   for (usize i = 0; i < n; ++i) {
     for (usize k = 0; k < inputs.size(); ++k) slots[k] = inputs[k][i];
-    for (usize j = 0; j < steps.size(); ++j) {
-      const EwiseStep& s = steps[j];
-      real r = 0;
-      switch (s.op) {
-        case EwiseOp::kScale: r = s.scalar * slots[s.a]; break;
-        case EwiseOp::kAdd: r = slots[s.a] + slots[s.b]; break;
-        case EwiseOp::kMul: r = slots[s.a] * slots[s.b]; break;
-        case EwiseOp::kMap: r = s.map_fn(slots[s.a]); break;
-      }
-      slots[static_cast<usize>(num_inputs) + j] = r;
-    }
-    out[i] = slots.back();
+    out[i] = eval(slots);
   }
   return out;
 }

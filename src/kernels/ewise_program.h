@@ -51,6 +51,13 @@ struct EwiseProgram {
   /// like the runtime's op_map: 4 flops).
   std::uint64_t flops_per_element() const;
 
+  /// Evaluates ONE element: `slots` holds num_inputs + steps.size()
+  /// values with the inputs preloaded; each step writes its slot in SSA
+  /// order and the last slot is returned. Every evaluator of a program —
+  /// evaluate() below, the generated-chain kernel, the fused row epilogue —
+  /// runs this, which is what keeps them bit-exact with one another.
+  real eval(std::span<real> slots) const;
+
   /// Element-wise evaluation over equal-length input streams — the
   /// functional semantics of the generated kernel and of the CPU path.
   std::vector<real> evaluate(

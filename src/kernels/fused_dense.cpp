@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "kernels/resource_profile.h"
+#include "kernels/sweep.h"
 #include "kernels/texture_model.h"
 
 namespace fusedml::kernels {
@@ -173,29 +174,12 @@ OpResult fused_pattern_dense(vgpu::Device& dev, real alpha,
   out.value.assign(n, real{0});
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
-    const usize bs = static_cast<usize>(ctx.block_size());
-    const usize grid_stride = static_cast<usize>(ctx.grid_size()) * bs;
     if (ctx.block_id() == 0 && y_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), n_pad * sizeof(real));
     }
 
     // beta * z initialization (Alg. 3 L6-7).
-    if (has_beta) {
-      for (usize base = static_cast<usize>(ctx.block_id()) * bs; base < n;
-           base += grid_stride) {
-        const usize end = std::min(n, base + bs);
-        for (usize i0 = base; i0 < end; i0 += 32) {
-          const int lanes = static_cast<int>(std::min<usize>(32, end - i0));
-          ctx.mem().load_contiguous(i0, lanes, sizeof(real));
-          ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                  static_cast<std::uint64_t>(n));
-          ctx.mem().add_flops(static_cast<std::uint64_t>(lanes));
-          for (int l = 0; l < lanes; ++l) {
-            vgpu::atomic_add(out.value[i0 + l], beta * z[i0 + l]);
-          }
-        }
-      }
-    }
+    if (has_beta) detail::init_beta_z(ctx, beta, z, out.value);
 
     // The per-vector register file l_w (VS * TL >= n registers across the
     // vector's lanes).

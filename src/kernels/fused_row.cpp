@@ -5,134 +5,19 @@
 #include <vector>
 
 #include "common/error.h"
-#include "kernels/resource_profile.h"
 #include "kernels/sparse_warp_accounting.h"
 #include "kernels/spmv.h"
+#include "kernels/sweep.h"
 #include "kernels/texture_model.h"
-#include "vgpu/warp.h"
 
 namespace fusedml::kernels {
 
 namespace {
 
+using detail::launch_streaming;
 using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
 using vgpu::MemPath;
-
-/// Grid-stride streaming geometry (same shape as the BLAS-1 kernels).
-LaunchConfig streaming_config(const vgpu::Device& dev, usize n) {
-  LaunchConfig cfg;
-  cfg.block_size = 256;
-  cfg.resources = {kBlas1RegsPerThread, 0};
-  const auto occ =
-      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
-  const int max_resident_blocks = occ.blocks_per_sm * dev.spec().num_sms;
-  const auto blocks_needed = static_cast<int>(
-      std::min<usize>((n + cfg.block_size - 1) / cfg.block_size,
-                      static_cast<usize>(max_resident_blocks)));
-  cfg.grid_size = std::max(1, blocks_needed);
-  return cfg;
-}
-
-template <typename Body>
-vgpu::LaunchStats launch_streaming(vgpu::Device& dev, const char* label,
-                                   usize n, Body&& body) {
-  LaunchConfig cfg = streaming_config(dev, n);
-  cfg.label = label;
-  return dev.launch(cfg, [&](BlockCtx& ctx) {
-    const usize stride =
-        static_cast<usize>(ctx.grid_size()) * ctx.block_size();
-    const usize base = static_cast<usize>(ctx.block_id()) * ctx.block_size();
-    for (usize chunk = base; chunk < n; chunk += stride) {
-      const usize end = std::min(n, chunk + ctx.block_size());
-      for (usize i0 = chunk; i0 < end; i0 += 32) {
-        const int lanes = static_cast<int>(std::min<usize>(32, end - i0));
-        body(ctx, i0, lanes);
-      }
-    }
-  });
-}
-
-/// Resident-grid geometry for the sparse row sweeps — must match
-/// spmv.cpp's sparse_config so masked / fused products share the baseline's
-/// launch shape (and therefore its reduction order).
-LaunchConfig sparse_config(const vgpu::Device& dev, index_t m, int vs) {
-  LaunchConfig cfg;
-  cfg.block_size = 256;
-  cfg.vector_size = vs;
-  cfg.resources = {kSpmvRegsPerThread, 0};
-  const auto occ =
-      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
-  const int resident = std::max(1, occ.blocks_per_sm * dev.spec().num_sms);
-  const int vectors_needed =
-      static_cast<int>((static_cast<long long>(m) + 0) /
-                       std::max(1, cfg.block_size / vs)) + 1;
-  cfg.grid_size = std::max(1, std::min(resident, vectors_needed));
-  const long long total_vectors =
-      static_cast<long long>(cfg.grid_size) * (cfg.block_size / vs);
-  cfg.coarsening = static_cast<int>((m + total_vectors - 1) / total_vectors);
-  return cfg;
-}
-
-/// Dense row-per-warp geometry, matching gemv.cpp's dense_config.
-LaunchConfig dense_config(const vgpu::Device& dev, index_t rows) {
-  LaunchConfig cfg;
-  cfg.block_size = 256;
-  cfg.resources = {kGemvRegsPerThread, 32 * sizeof(real)};
-  cfg.smem_words = 32;
-  const auto occ =
-      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
-  cfg.grid_size = std::max(1, occ.blocks_per_sm * dev.spec().num_sms);
-  const int warps_total = cfg.grid_size * (cfg.block_size / 32);
-  cfg.coarsening = static_cast<int>(
-      std::max<long long>(1, (rows + warps_total - 1) / warps_total));
-  return cfg;
-}
-
-/// One vector's dot product over row r against `vals` in place of X's
-/// values array — the exact arithmetic of spmv.cpp's vector_row_dot (same
-/// lane partition by VS, same shuffle reduction), which is what keeps the
-/// masked product bit-exact with the fused sddmm kernel.
-real vector_row_dot_vals(BlockCtx& ctx, const la::CsrMatrix& X,
-                         std::span<const real> vals, std::span<const real> z,
-                         index_t r, int vs) {
-  const offset_t start = X.row_begin(r);
-  const offset_t end = X.row_end(r);
-  std::array<real, 32> lane_sum{};
-  for (offset_t i = start; i < end; i += vs) {
-    const int lanes = static_cast<int>(std::min<offset_t>(vs, end - i));
-    ctx.mem().add_flops(2ull * lanes);
-    for (int l = 0; l < lanes; ++l) {
-      const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-      lane_sum[l] += vals[k] * z[static_cast<usize>(X.col_idx()[k])];
-    }
-  }
-  return vgpu::shuffle_reduce_sum({lane_sum.data(), static_cast<usize>(vs)},
-                                  ctx.counters());
-}
-
-/// Per-element evaluation of an EwiseProgram with slots preloaded — the
-/// same SSA switch as dev_ewise_chain, so fused epilogues stay bit-exact
-/// with the operator-at-a-time chain.
-real eval_program_element(const EwiseProgram& program,
-                          std::span<real> slots) {
-  for (usize j = 0; j < program.steps.size(); ++j) {
-    const EwiseStep& s = program.steps[j];
-    real r = 0;
-    switch (s.op) {
-      case EwiseOp::kScale: r = s.scalar * slots[static_cast<usize>(s.a)]; break;
-      case EwiseOp::kAdd:
-        r = slots[static_cast<usize>(s.a)] + slots[static_cast<usize>(s.b)];
-        break;
-      case EwiseOp::kMul:
-        r = slots[static_cast<usize>(s.a)] * slots[static_cast<usize>(s.b)];
-        break;
-      case EwiseOp::kMap: r = s.map_fn(slots[static_cast<usize>(s.a)]); break;
-    }
-    slots[static_cast<usize>(program.num_inputs) + j] = r;
-  }
-  return slots.back();
-}
 
 /// Row index of every nonzero — host-side helper for the mask kernel.
 std::vector<index_t> row_of_nnz(const la::CsrMatrix& X) {
@@ -225,45 +110,29 @@ OpResult dev_masked_spmv(vgpu::Device& dev, const la::CsrMatrix& X,
   FUSEDML_CHECK(z.size() == static_cast<usize>(X.cols()),
                 "masked_spmv dimension mismatch");
   const int vs = vector_size_for(X.mean_nnz_per_row());
-  LaunchConfig cfg = sparse_config(dev, X.rows(), vs);
+  LaunchConfig cfg = detail::sparse_config(dev, X.rows(), vs);
   cfg.label = "masked_spmv";
   const bool z_resident = tex_resident(dev.spec(), z.size() * sizeof(real));
-  const MemPath z_path = MemPath::kTexture;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  const int nv = cfg.num_vectors_per_block();
-  const int rows_per_warp = std::max(1, 32 / vs);
-  const long long total_vectors =
-      static_cast<long long>(cfg.grid_size) * nv;
-
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && z_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), z.size() * sizeof(real));
     }
-    for (int c = 0; c < cfg.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * nv +
-          static_cast<long long>(c) * total_vectors;
-      for (int vid0 = 0; vid0 < nv; vid0 += rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here, vs,
-                                 MemPath::kDram, /*with_y=*/!z_resident,
-                                 z_path);
-        for (int v = 0; v < rows_here; ++v) {
-          const auto r = static_cast<index_t>(warp_first_row + v);
-          out.value[static_cast<usize>(r)] =
-              vector_row_dot_vals(ctx, X, vals, z, r, vs);
-        }
-        ctx.mem().store_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                   rows_here, sizeof(real));
+    detail::for_each_sparse_warp(ctx, cfg, X.rows(), [&](long long first_row,
+                                                        int rows_here) {
+      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
+                               MemPath::kDram, /*with_y=*/!z_resident,
+                               MemPath::kTexture);
+      for (int v = 0; v < rows_here; ++v) {
+        const auto r = static_cast<index_t>(first_row + v);
+        out.value[static_cast<usize>(r)] =
+            detail::vector_row_dot(ctx, X, vals, z, r, vs);
       }
-    }
+      ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
+                                 rows_here, sizeof(real));
+    });
   }));
   return out;
 }
@@ -276,13 +145,9 @@ OpResult dev_masked_gemv(vgpu::Device& dev, const la::DenseMatrix& X,
   FUSEDML_CHECK(z.size() == static_cast<usize>(X.cols()),
                 "masked_gemv dimension mismatch");
   const auto n = static_cast<usize>(X.cols());
-  LaunchConfig cfg = dense_config(dev, X.rows());
+  LaunchConfig cfg = detail::dense_config(dev, X.rows());
   cfg.label = "masked_gemv";
   const bool z_resident = tex_resident(dev.spec(), n * sizeof(real));
-  const MemPath z_path = MemPath::kTexture;
-  const int warps_per_block = cfg.block_size / 32;
-  const long long warps_total =
-      static_cast<long long>(cfg.grid_size) * warps_per_block;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
@@ -290,27 +155,20 @@ OpResult dev_masked_gemv(vgpu::Device& dev, const la::DenseMatrix& X,
     if (ctx.block_id() == 0 && z_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), n * sizeof(real));
     }
-    for (long long w = ctx.block_id() * warps_per_block; w < X.rows();
-         w += warps_total) {
-      for (int ww = 0; ww < warps_per_block; ++ww) {
-        const long long r = w + ww;
-        if (r >= X.rows()) break;
-        ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
-                              sizeof(real));
-        if (!z_resident) ctx.mem().load_stream(0, n, sizeof(real), z_path);
-        ctx.mem().add_flops(2ull * n);
-        ctx.counters().shuffle_ops += 31;
-        real s = 0;
-        for (usize c = 0; c < n; ++c) {
-          s += vals[static_cast<usize>(r) * n + c] * z[c];
-        }
-        out.value[static_cast<usize>(r)] = s;
+    detail::for_each_dense_row(ctx, cfg, X.rows(), [&](index_t r) {
+      ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
+                            sizeof(real));
+      if (!z_resident) {
+        ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);
       }
-      ctx.mem().store_contiguous(
-          static_cast<std::uint64_t>(w),
-          static_cast<int>(std::min<long long>(warps_per_block, X.rows() - w)),
-          sizeof(real));
-    }
+      ctx.mem().add_flops(2ull * n);
+      ctx.counters().shuffle_ops += 31;
+      real s = 0;
+      for (usize c = 0; c < n; ++c) {
+        s += vals[static_cast<usize>(r) * n + c] * z[c];
+      }
+      out.value[static_cast<usize>(r)] = s;
+    });
   }));
   return out;
 }
@@ -328,62 +186,42 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::CsrMatrix& X,
                   "fused_row: external input must be a length-m vector");
   }
   const int vs = vector_size_for(X.mean_nnz_per_row());
-  LaunchConfig cfg = sparse_config(dev, X.rows(), vs);
+  LaunchConfig cfg = detail::sparse_config(dev, X.rows(), vs);
   cfg.label = "fused_row";
   const bool y_resident = tex_resident(dev.spec(), y.size() * sizeof(real));
-  const MemPath y_path = MemPath::kTexture;
+  const std::uint64_t epilogue_flops = program.flops_per_element();
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  const int nv = cfg.num_vectors_per_block();
-  const int rows_per_warp = std::max(1, 32 / vs);
-  const long long total_vectors =
-      static_cast<long long>(cfg.grid_size) * nv;
-  const std::uint64_t epilogue_flops = program.flops_per_element();
-
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && y_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), y.size() * sizeof(real));
     }
     std::vector<real> slots(static_cast<usize>(program.num_inputs) +
                             program.steps.size());
-    for (int c = 0; c < cfg.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * nv +
-          static_cast<long long>(c) * total_vectors;
-      for (int vid0 = 0; vid0 < nv; vid0 += rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here, vs,
-                                 MemPath::kDram, /*with_y=*/!y_resident,
-                                 y_path);
-        // External epilogue inputs: one coalesced load per stream.
-        for (usize e = 0; e < ext.size(); ++e) {
-          ctx.mem().load_contiguous(
-              static_cast<std::uint64_t>(warp_first_row), rows_here,
-              sizeof(real));
-        }
-        ctx.mem().add_flops(epilogue_flops *
-                            static_cast<std::uint64_t>(rows_here));
-        for (int v = 0; v < rows_here; ++v) {
-          const auto r = static_cast<index_t>(warp_first_row + v);
-          // The row product is spmv.cpp's vector_row_dot arithmetic: same
-          // lane partition by VS, same shuffle reduction.
-          slots[0] = vector_row_dot_vals(ctx, X, X.values(), y, r, vs);
-          for (usize e = 0; e < ext.size(); ++e) {
-            slots[e + 1] = ext[e][static_cast<usize>(r)];
-          }
-          out.value[static_cast<usize>(r)] =
-              eval_program_element(program, slots);
-        }
-        ctx.mem().store_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                   rows_here, sizeof(real));
+    detail::for_each_sparse_warp(ctx, cfg, X.rows(), [&](long long first_row,
+                                                        int rows_here) {
+      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
+                               MemPath::kDram, /*with_y=*/!y_resident,
+                               MemPath::kTexture);
+      // External epilogue inputs: one coalesced load per stream.
+      for (usize e = 0; e < ext.size(); ++e) {
+        ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                                  rows_here, sizeof(real));
       }
-    }
+      ctx.mem().add_flops(epilogue_flops *
+                          static_cast<std::uint64_t>(rows_here));
+      for (int v = 0; v < rows_here; ++v) {
+        const auto r = static_cast<index_t>(first_row + v);
+        slots[0] = detail::vector_row_dot(ctx, X, X.values(), y, r, vs);
+        for (usize e = 0; e < ext.size(); ++e) {
+          slots[e + 1] = ext[e][static_cast<usize>(r)];
+        }
+        out.value[static_cast<usize>(r)] = program.eval(slots);
+      }
+      ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
+                                 rows_here, sizeof(real));
+    });
   }));
   return out;
 }
@@ -401,13 +239,9 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::DenseMatrix& X,
                   "fused_row: external input must be a length-m vector");
   }
   const auto n = static_cast<usize>(X.cols());
-  LaunchConfig cfg = dense_config(dev, X.rows());
+  LaunchConfig cfg = detail::dense_config(dev, X.rows());
   cfg.label = "fused_row_dense";
   const bool y_resident = tex_resident(dev.spec(), n * sizeof(real));
-  const MemPath y_path = MemPath::kTexture;
-  const int warps_per_block = cfg.block_size / 32;
-  const long long warps_total =
-      static_cast<long long>(cfg.grid_size) * warps_per_block;
   const std::uint64_t epilogue_flops = program.flops_per_element();
 
   OpResult out;
@@ -418,36 +252,28 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::DenseMatrix& X,
     }
     std::vector<real> slots(static_cast<usize>(program.num_inputs) +
                             program.steps.size());
-    for (long long w = ctx.block_id() * warps_per_block; w < X.rows();
-         w += warps_total) {
-      for (int ww = 0; ww < warps_per_block; ++ww) {
-        const long long r = w + ww;
-        if (r >= X.rows()) break;
-        const auto row = X.row(static_cast<index_t>(r));
-        ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
-                              sizeof(real));
-        if (!y_resident) ctx.mem().load_stream(0, n, sizeof(real), y_path);
-        for (usize e = 0; e < ext.size(); ++e) {
-          ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
-                                    sizeof(real));
-        }
-        ctx.mem().add_flops(2ull * n + epilogue_flops);
-        ctx.counters().shuffle_ops += 31;
-        // gemv_n's row product: sequential accumulation over columns.
-        real s = 0;
-        for (usize c = 0; c < n; ++c) s += row[c] * y[c];
-        slots[0] = s;
-        for (usize e = 0; e < ext.size(); ++e) {
-          slots[e + 1] = ext[e][static_cast<usize>(r)];
-        }
-        out.value[static_cast<usize>(r)] =
-            eval_program_element(program, slots);
+    detail::for_each_dense_row(ctx, cfg, X.rows(), [&](index_t r) {
+      const auto row = X.row(r);
+      ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
+                            sizeof(real));
+      if (!y_resident) {
+        ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);
       }
-      ctx.mem().store_contiguous(
-          static_cast<std::uint64_t>(w),
-          static_cast<int>(std::min<long long>(warps_per_block, X.rows() - w)),
-          sizeof(real));
-    }
+      for (usize e = 0; e < ext.size(); ++e) {
+        ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
+                                  sizeof(real));
+      }
+      ctx.mem().add_flops(2ull * n + epilogue_flops);
+      ctx.counters().shuffle_ops += 31;
+      // gemv_n's row product: sequential accumulation over columns.
+      real s = 0;
+      for (usize c = 0; c < n; ++c) s += row[c] * y[c];
+      slots[0] = s;
+      for (usize e = 0; e < ext.size(); ++e) {
+        slots[e + 1] = ext[e][static_cast<usize>(r)];
+      }
+      out.value[static_cast<usize>(r)] = program.eval(slots);
+    });
   }));
   return out;
 }
@@ -462,74 +288,50 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
                     z.size() == static_cast<usize>(X.cols()),
                 "fused_sddmm: v and z must be length-n vectors");
   const int vs = vector_size_for(X.mean_nnz_per_row());
-  LaunchConfig cfg = sparse_config(dev, X.rows(), vs);
+  LaunchConfig cfg = detail::sparse_config(dev, X.rows(), vs);
   cfg.label = "fused_sddmm";
   // v and z are both gathered at col_idx; they share the read-only cache.
   const bool vz_resident =
       tex_resident(dev.spec(), (v.size() + z.size()) * sizeof(real));
-  const MemPath gather_path = MemPath::kTexture;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  const int nv = cfg.num_vectors_per_block();
-  const int rows_per_warp = std::max(1, 32 / vs);
-  const long long total_vectors =
-      static_cast<long long>(cfg.grid_size) * nv;
-
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && vz_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(),
                       (v.size() + z.size()) * sizeof(real));
     }
-    for (int c = 0; c < cfg.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * nv +
-          static_cast<long long>(c) * total_vectors;
-      for (int vid0 = 0; vid0 < nv; vid0 += rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        // u for the warp's rows: one coalesced load.
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here, sizeof(real));
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here, vs,
-                                 MemPath::kDram, /*with_y=*/!vz_resident,
-                                 gather_path);
-        if (!vz_resident) {
-          // Second gather stream (v AND z are fetched per nonzero).
-          const auto t = detail::warp_rows_y_gather(X, warp_first_row,
-                                                    rows_here, vs);
-          ctx.mem().load_precomputed(t.transactions, t.bytes, gather_path);
-        }
-        for (int vrow = 0; vrow < rows_here; ++vrow) {
-          const auto r = static_cast<index_t>(warp_first_row + vrow);
-          const offset_t start = X.row_begin(r);
-          const offset_t end = X.row_end(r);
-          std::array<real, 32> lane_sum{};
-          for (offset_t i = start; i < end; i += vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(vs, end - i));
-            ctx.mem().add_flops(7ull * lanes);  // 2 mul + map + mul-add
-            for (int l = 0; l < lanes; ++l) {
-              const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-              const auto col = static_cast<usize>(X.col_idx()[k]);
-              // Term for term the unfused chain's expression:
-              //   mask = X.values[k] * f(u[r] * v[col]);  sum += mask * z[col]
-              const real masked =
-                  X.values()[k] * f(u[static_cast<usize>(r)] * v[col]);
-              lane_sum[l] += masked * z[col];
-            }
-          }
-          out.value[static_cast<usize>(r)] = vgpu::shuffle_reduce_sum(
-              {lane_sum.data(), static_cast<usize>(vs)}, ctx.counters());
-        }
-        ctx.mem().store_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                   rows_here, sizeof(real));
+    detail::for_each_sparse_warp(ctx, cfg, X.rows(), [&](long long first_row,
+                                                        int rows_here) {
+      // u for the warp's rows: one coalesced load.
+      ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                                rows_here, sizeof(real));
+      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
+                               MemPath::kDram, /*with_y=*/!vz_resident,
+                               MemPath::kTexture);
+      if (!vz_resident) {
+        // Second gather stream (v AND z are fetched per nonzero).
+        const auto t =
+            detail::warp_rows_y_gather(X, first_row, rows_here, vs);
+        ctx.mem().load_precomputed(t.transactions, t.bytes,
+                                   MemPath::kTexture);
       }
-    }
+      for (int vrow = 0; vrow < rows_here; ++vrow) {
+        const auto r = static_cast<index_t>(first_row + vrow);
+        const real ur = u[static_cast<usize>(r)];
+        // 2 mul + map + mul-add per nonzero; term for term the unfused
+        // chain's expression:
+        //   mask = X.values[k] * f(u[r] * v[col]);  sum += mask * z[col]
+        out.value[static_cast<usize>(r)] =
+            detail::vector_row_sum(ctx, X, r, vs, 7, [&](usize k) {
+              const auto col = static_cast<usize>(X.col_idx()[k]);
+              const real masked = X.values()[k] * f(ur * v[col]);
+              return masked * z[col];
+            });
+      }
+      ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
+                                 rows_here, sizeof(real));
+    });
   }));
   return out;
 }
@@ -544,14 +346,10 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::DenseMatrix& X,
                     z.size() == static_cast<usize>(X.cols()),
                 "fused_sddmm: v and z must be length-n vectors");
   const auto n = static_cast<usize>(X.cols());
-  LaunchConfig cfg = dense_config(dev, X.rows());
+  LaunchConfig cfg = detail::dense_config(dev, X.rows());
   cfg.label = "fused_sddmm_dense";
   const bool vz_resident =
       tex_resident(dev.spec(), (v.size() + z.size()) * sizeof(real));
-  const MemPath stream_path = MemPath::kTexture;
-  const int warps_per_block = cfg.block_size / 32;
-  const long long warps_total =
-      static_cast<long long>(cfg.grid_size) * warps_per_block;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
@@ -560,35 +358,26 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::DenseMatrix& X,
       charge_tex_fill(ctx.mem(), dev.spec(),
                       (v.size() + z.size()) * sizeof(real));
     }
-    for (long long w = ctx.block_id() * warps_per_block; w < X.rows();
-         w += warps_total) {
-      for (int ww = 0; ww < warps_per_block; ++ww) {
-        const long long r = w + ww;
-        if (r >= X.rows()) break;
-        const auto row = X.row(static_cast<index_t>(r));
-        ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
-                              sizeof(real));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
-                                  sizeof(real));  // u[r]
-        if (!vz_resident) {
-          ctx.mem().load_stream(0, n, sizeof(real), stream_path);  // v
-          ctx.mem().load_stream(0, n, sizeof(real), stream_path);  // z
-        }
-        ctx.mem().add_flops(7ull * n);
-        ctx.counters().shuffle_ops += 31;
-        real s = 0;
-        for (usize c = 0; c < n; ++c) {
-          // masked_gemv over mask_values' expression, term for term.
-          const real masked = row[c] * f(u[static_cast<usize>(r)] * v[c]);
-          s += masked * z[c];
-        }
-        out.value[static_cast<usize>(r)] = s;
+    detail::for_each_dense_row(ctx, cfg, X.rows(), [&](index_t r) {
+      const auto row = X.row(r);
+      ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
+                            sizeof(real));
+      ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
+                                sizeof(real));  // u[r]
+      if (!vz_resident) {
+        ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);  // v
+        ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);  // z
       }
-      ctx.mem().store_contiguous(
-          static_cast<std::uint64_t>(w),
-          static_cast<int>(std::min<long long>(warps_per_block, X.rows() - w)),
-          sizeof(real));
-    }
+      ctx.mem().add_flops(7ull * n);
+      ctx.counters().shuffle_ops += 31;
+      real s = 0;
+      for (usize c = 0; c < n; ++c) {
+        // masked_gemv over mask_values' expression, term for term.
+        const real masked = row[c] * f(u[static_cast<usize>(r)] * v[c]);
+        s += masked * z[c];
+      }
+      out.value[static_cast<usize>(r)] = s;
+    });
   }));
   return out;
 }

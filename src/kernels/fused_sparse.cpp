@@ -6,8 +6,8 @@
 #include "common/error.h"
 #include "kernels/resource_profile.h"
 #include "kernels/sparse_warp_accounting.h"
+#include "kernels/sweep.h"
 #include "kernels/texture_model.h"
-#include "vgpu/warp.h"
 
 namespace fusedml::kernels {
 
@@ -79,19 +79,54 @@ MemPath second_pass_path(const vgpu::Device& dev,
              : MemPath::kDram;
 }
 
-struct SweepGeometry {
-  int vs, nv, rows_per_warp, coarsening;
-  long long total_vectors;
-};
+/// Aggregates X[r,:]^T * pr into w (Alg. 1/2 L13-14), charging
+/// `flops_per_nnz` per active lane: into the block's shared partial w at
+/// `sd_base` when `shared`, else straight to global w with one atomic per
+/// nonzero (the large-n variant), where alpha is applied on the way.
+void scatter_row(BlockCtx& ctx, const la::CsrMatrix& X, index_t r, int vs,
+                 real pr, real alpha, bool shared, usize sd_base,
+                 std::uint64_t flops_per_nnz, std::vector<real>& w) {
+  const auto cols = X.col_idx();
+  const auto vals = X.values();
+  std::array<usize, 32> words{};
+  detail::for_each_row_chunk(X, r, vs, [&](offset_t i, int lanes) {
+    ctx.mem().add_flops(flops_per_nnz * static_cast<std::uint64_t>(lanes));
+    const auto k0 = static_cast<usize>(i);
+    if (shared) {
+      for (int l = 0; l < lanes; ++l) {
+        words[l] = sd_base + static_cast<usize>(cols[k0 + l]);
+      }
+      ctx.smem().warp_access({words.data(), static_cast<usize>(lanes)});
+      for (int l = 0; l < lanes; ++l) {
+        ctx.smem().atomic_add(sd_base + static_cast<usize>(cols[k0 + l]),
+                              vals[k0 + l] * pr);
+      }
+    } else {
+      ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
+                              static_cast<std::uint64_t>(w.size()));
+      for (int l = 0; l < lanes; ++l) {
+        vgpu::atomic_add(w[static_cast<usize>(cols[k0 + l])],
+                         alpha * vals[k0 + l] * pr);
+      }
+    }
+  });
+}
 
-SweepGeometry geometry(const LaunchConfig& cfg) {
-  SweepGeometry g;
-  g.vs = cfg.vector_size;
-  g.nv = cfg.num_vectors_per_block();
-  g.rows_per_warp = std::max(1, 32 / g.vs);
-  g.coarsening = cfg.coarsening;
-  g.total_vectors = static_cast<long long>(cfg.grid_size) * g.nv;
-  return g;
+/// __syncthreads, then the inter-block aggregation of the shared partial w
+/// (Alg. 1 L15-16 / Alg. 2 L16-18): one global atomic per column, alpha
+/// applied on the way, `flops_per_elem` charged per column.
+void flush_shared_w(BlockCtx& ctx, usize sd_base, real alpha,
+                    std::uint64_t flops_per_elem, std::vector<real>& w) {
+  const usize n = w.size();
+  for (usize i = 0; i < n; i += 32) {
+    const int lanes = static_cast<int>(std::min<usize>(32, n - i));
+    ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
+                            static_cast<std::uint64_t>(n));
+    ctx.mem().add_flops(flops_per_elem * static_cast<std::uint64_t>(lanes));
+    for (int l = 0; l < lanes; ++l) {
+      vgpu::atomic_add(w[i + l], alpha * ctx.smem().load(sd_base + i + l));
+    }
+  }
 }
 
 }  // namespace
@@ -109,84 +144,33 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
                 "fused_spmv_t: p must have m entries");
   const double mu = X.mean_nnz_per_row();
   const auto params = resolve_params(dev, X.rows(), X.cols(), mu, opts);
-  const auto g = geometry(params.config);
-  const auto n = static_cast<usize>(X.cols());
   const bool shared = params.shared_aggregation;
+  const int vs = params.config.vector_size;
+  // Staging | partial w: the partial starts after one word per vector.
+  const auto sd_base =
+      static_cast<usize>(params.config.num_vectors_per_block());
   // Single pass over X here (p is given), so every load is a cold load.
 
   OpResult out;
-  out.value.assign(n, real{0});
+  out.value.assign(static_cast<usize>(X.cols()), real{0});
 
-  LaunchConfig launch_cfg = params.config;
-  launch_cfg.label = "fused_spmv_t";
-  out.absorb(dev.launch(launch_cfg, [&](BlockCtx& ctx) {
-    const usize sd_base = static_cast<usize>(g.nv);  // staging | partial w
-    for (int c = 0; c < g.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * g.nv +
-          static_cast<long long>(c) * g.total_vectors;
-      for (int vid0 = 0; vid0 < g.nv; vid0 += g.rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            g.rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here, sizeof(real));  // p[row]
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here,
-                                 g.vs, MemPath::kDram, /*with_y=*/false,
-                                 MemPath::kDram);
-        for (int v = 0; v < rows_here; ++v) {
-          const auto r = static_cast<index_t>(warp_first_row + v);
-          const real pr = p[static_cast<usize>(r)];
-          const offset_t start = X.row_begin(r);
-          const offset_t end = X.row_end(r);
-          std::array<usize, 32> words{};
-          for (offset_t i = start; i < end; i += g.vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(g.vs, end - i));
-            ctx.mem().add_flops(static_cast<std::uint64_t>(lanes));
-            if (shared) {
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                const auto col = static_cast<usize>(X.col_idx()[k]);
-                words[l] = sd_base + col;
-              }
-              ctx.smem().warp_access({words.data(),
-                                      static_cast<usize>(lanes)});
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                ctx.smem().atomic_add(
-                    sd_base + static_cast<usize>(X.col_idx()[k]),
-                    X.values()[k] * pr);
-              }
-            } else {
-              ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                      static_cast<std::uint64_t>(n));
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                vgpu::atomic_add(
-                    out.value[static_cast<usize>(X.col_idx()[k])],
-                    alpha * X.values()[k] * pr);
-              }
-            }
-          }
-        }
+  LaunchConfig cfg = params.config;
+  cfg.label = "fused_spmv_t";
+  out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
+    detail::for_each_sparse_warp(ctx, cfg, X.rows(), [&](long long first_row,
+                                                        int rows_here) {
+      ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                                rows_here, sizeof(real));  // p[row]
+      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
+                               MemPath::kDram, /*with_y=*/false,
+                               MemPath::kDram);
+      for (int v = 0; v < rows_here; ++v) {
+        const auto r = static_cast<index_t>(first_row + v);
+        scatter_row(ctx, X, r, vs, p[static_cast<usize>(r)], alpha, shared,
+                    sd_base, 1, out.value);
       }
-    }
-    if (shared) {
-      // __syncthreads, then the inter-block aggregation (Alg. 1 L15-16).
-      for (usize i = 0; i < n; i += 32) {
-        const int lanes = static_cast<int>(std::min<usize>(32, n - i));
-        for (int l = 0; l < lanes; ++l) {
-          vgpu::atomic_add(out.value[i + l],
-                           alpha * ctx.smem().load(sd_base + i + l));
-        }
-        ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                static_cast<std::uint64_t>(n));
-      }
-    }
+    });
+    if (shared) flush_shared_w(ctx, sd_base, alpha, 0, out.value);
   }));
   return out;
 }
@@ -204,9 +188,10 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
                 "fused_pattern_sparse: z must have n entries or be empty");
   const double mu = X.mean_nnz_per_row();
   const auto params = resolve_params(dev, X.rows(), X.cols(), mu, opts);
-  const auto g = geometry(params.config);
-  const auto n = static_cast<usize>(X.cols());
   const bool shared = params.shared_aggregation;
+  const int vs = params.config.vector_size;
+  const auto sd_base =
+      static_cast<usize>(params.config.num_vectors_per_block());
   const bool y_resident =
       opts.texture_y && tex_resident(dev.spec(), y.size() * sizeof(real));
   const MemPath y_path =
@@ -216,134 +201,46 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
   const bool has_beta = !z.empty() && beta != real{0};
 
   OpResult out;
-  out.value.assign(n, real{0});
+  out.value.assign(static_cast<usize>(X.cols()), real{0});
 
-  LaunchConfig launch_cfg = params.config;
-  launch_cfg.label = "fused_pattern_sparse";
-  out.absorb(dev.launch(launch_cfg, [&](BlockCtx& ctx) {
-    const usize sd_base = static_cast<usize>(g.nv);
-    const usize bs = static_cast<usize>(ctx.block_size());
-    const usize grid_stride = static_cast<usize>(ctx.grid_size()) * bs;
+  LaunchConfig cfg = params.config;
+  cfg.label = "fused_pattern_sparse";
+  out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && y_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), y.size() * sizeof(real));
     }
+    // beta * z initialization (Alg. 2 L3-4).
+    if (has_beta) detail::init_beta_z(ctx, beta, z, out.value);
 
-    // --- beta * z initialization (Alg. 2 L3-4): grid-stride atomic adds ---
-    if (has_beta) {
-      for (usize base = static_cast<usize>(ctx.block_id()) * bs; base < n;
-           base += grid_stride) {
-        const usize end = std::min(n, base + bs);
-        for (usize i0 = base; i0 < end; i0 += 32) {
-          const int lanes = static_cast<int>(std::min<usize>(32, end - i0));
-          ctx.mem().load_contiguous(i0, lanes, sizeof(real));  // z
-          ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                  static_cast<std::uint64_t>(n));
-          ctx.mem().add_flops(static_cast<std::uint64_t>(lanes));
-          for (int l = 0; l < lanes; ++l) {
-            vgpu::atomic_add(out.value[i0 + l], beta * z[i0 + l]);
-          }
-        }
+    // The fused row sweep (Alg. 2 L5-15).
+    detail::for_each_sparse_warp(ctx, cfg, X.rows(), [&](long long first_row,
+                                                        int rows_here) {
+      if (!v.empty()) {
+        ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                                  rows_here, sizeof(real));  // v[row]
       }
-    }
-
-    // --- the fused row sweep (Alg. 2 L5-15) --------------------------------
-    std::array<real, 32> lane_sum{};
-    std::array<usize, 32> words{};
-    for (int c = 0; c < g.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * g.nv +
-          static_cast<long long>(c) * g.total_vectors;
-      for (int vid0 = 0; vid0 < g.nv; vid0 += g.rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            g.rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
+      // First pass over the warp's rows: cold loads + y gathers (skipped
+      // when y is texture-resident — only the fill was charged).
+      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
+                               MemPath::kDram, /*with_y=*/!y_resident, y_path);
+      // Second pass: same data while still cache-resident.
+      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs, pass2,
+                               /*with_y=*/false, y_path);
+      for (int vv = 0; vv < rows_here; ++vv) {
+        const auto r = static_cast<index_t>(first_row + vv);
+        // First pass: p[r] = X[r,:] * y (Alg. 2 L10-11), reduced in
+        // registers, then v ⊙ (L12).
+        real pr = detail::vector_row_dot(ctx, X, X.values(), y, r, vs);
         if (!v.empty()) {
-          ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                    rows_here, sizeof(real));  // v[row]
+          pr *= v[static_cast<usize>(r)];
+          ctx.mem().add_flops(1);
         }
-        // First pass over the warp's rows: cold loads + y gathers (skipped
-        // when y is texture-resident — only the fill was charged).
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here,
-                                 g.vs, MemPath::kDram,
-                                 /*with_y=*/!y_resident, y_path);
-        // Second pass: same data while still cache-resident.
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here,
-                                 g.vs, pass2, /*with_y=*/false, y_path);
-        for (int vv = 0; vv < rows_here; ++vv) {
-          const auto r = static_cast<index_t>(warp_first_row + vv);
-          const offset_t start = X.row_begin(r);
-          const offset_t end = X.row_end(r);
-
-          // First pass: p[r] = X[r,:] * y  (Alg. 2 L10-11).
-          lane_sum.fill(real{0});
-          for (offset_t i = start; i < end; i += g.vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(g.vs, end - i));
-            ctx.mem().add_flops(2ull * lanes);
-            for (int l = 0; l < lanes; ++l) {
-              const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-              lane_sum[l] +=
-                  X.values()[k] * y[static_cast<usize>(X.col_idx()[k])];
-            }
-          }
-          // Intra-vector register reduction + v ⊙ (Alg. 2 L12).
-          real pr = vgpu::shuffle_reduce_sum(
-              {lane_sum.data(), static_cast<usize>(g.vs)}, ctx.counters());
-          if (!v.empty()) {
-            pr *= v[static_cast<usize>(r)];
-            ctx.mem().add_flops(1);
-          }
-
-          // Second pass: scatter X[r,:]^T * p[r] (Alg. 2 L13-14) — loads
-          // already charged above at the pass2 (cache) path.
-          for (offset_t i = start; i < end; i += g.vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(g.vs, end - i));
-            ctx.mem().add_flops(2ull * lanes);
-            if (shared) {
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                words[l] = sd_base + static_cast<usize>(X.col_idx()[k]);
-              }
-              ctx.smem().warp_access({words.data(),
-                                      static_cast<usize>(lanes)});
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                ctx.smem().atomic_add(
-                    sd_base + static_cast<usize>(X.col_idx()[k]),
-                    X.values()[k] * pr);
-              }
-            } else {
-              ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                      static_cast<std::uint64_t>(n));
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                vgpu::atomic_add(
-                    out.value[static_cast<usize>(X.col_idx()[k])],
-                    alpha * X.values()[k] * pr);
-              }
-            }
-          }
-        }
+        // Second pass: scatter X[r,:]^T * p[r] (Alg. 2 L13-14) — loads
+        // already charged above at the pass2 (cache) path.
+        scatter_row(ctx, X, r, vs, pr, alpha, shared, sd_base, 2, out.value);
       }
-    }
-
-    // --- __syncthreads + inter-block aggregation (Alg. 2 L16-18) ----------
-    if (shared) {
-      for (usize i = 0; i < n; i += 32) {
-        const int lanes = static_cast<int>(std::min<usize>(32, n - i));
-        ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                static_cast<std::uint64_t>(n));
-        ctx.mem().add_flops(static_cast<std::uint64_t>(lanes));
-        for (int l = 0; l < lanes; ++l) {
-          vgpu::atomic_add(out.value[i + l],
-                           alpha * ctx.smem().load(sd_base + i + l));
-        }
-      }
-    }
+    });
+    if (shared) flush_shared_w(ctx, sd_base, alpha, 1, out.value);
   }));
   return out;
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "kernels/resource_profile.h"
+#include "kernels/sweep.h"
 #include "kernels/texture_model.h"
 
 namespace fusedml::kernels {
@@ -12,20 +12,6 @@ namespace {
 using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
 using vgpu::MemPath;
-
-LaunchConfig dense_config(const vgpu::Device& dev, index_t rows) {
-  LaunchConfig cfg;
-  cfg.block_size = 256;
-  cfg.resources = {kGemvRegsPerThread, 32 * sizeof(real)};
-  cfg.smem_words = 32;
-  const auto occ =
-      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
-  cfg.grid_size = std::max(1, occ.blocks_per_sm * dev.spec().num_sms);
-  const int warps_total = cfg.grid_size * (cfg.block_size / 32);
-  cfg.coarsening = static_cast<int>(
-      std::max<long long>(1, (rows + warps_total - 1) / warps_total));
-  return cfg;
-}
 }  // namespace
 
 OpResult gemv_n(vgpu::Device& dev, const la::DenseMatrix& X,
@@ -33,14 +19,11 @@ OpResult gemv_n(vgpu::Device& dev, const la::DenseMatrix& X,
   FUSEDML_CHECK(y.size() == static_cast<usize>(X.cols()),
                 "gemv_n dimension mismatch");
   const auto n = static_cast<usize>(X.cols());
-  LaunchConfig cfg = dense_config(dev, X.rows());
+  LaunchConfig cfg = detail::dense_config(dev, X.rows());
   cfg.label = "gemv_n";
   const bool y_resident =
       opts.texture_y && tex_resident(dev.spec(), n * sizeof(real));
   const MemPath y_path = opts.texture_y ? MemPath::kTexture : MemPath::kDram;
-  const int warps_per_block = cfg.block_size / 32;
-  const long long warps_total =
-      static_cast<long long>(cfg.grid_size) * warps_per_block;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
@@ -48,30 +31,19 @@ OpResult gemv_n(vgpu::Device& dev, const la::DenseMatrix& X,
     if (ctx.block_id() == 0 && y_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), n * sizeof(real));
     }
-    // One warp per row, rows strided across the grid.
-    for (long long w = ctx.block_id() * warps_per_block;
-         w < X.rows(); w += warps_total) {
-      for (int ww = 0; ww < warps_per_block; ++ww) {
-        const long long r = w + ww;
-        if (r >= X.rows()) break;
-        const auto row = X.row(static_cast<index_t>(r));
-        for (int rep = 0; rep < opts.transaction_inflation; ++rep) {
-          ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
-                                sizeof(real));
-        }
-        if (!y_resident) ctx.mem().load_stream(0, n, sizeof(real), y_path);
-        ctx.mem().add_flops(2ull * n);
-        ctx.counters().shuffle_ops += 31;  // warp reduction of partials
-        real s = 0;
-        for (usize c = 0; c < n; ++c) s += row[c] * y[c];
-        out.value[static_cast<usize>(r)] = s;
+    detail::for_each_dense_row(ctx, cfg, X.rows(), [&](index_t r) {
+      const auto row = X.row(r);
+      for (int rep = 0; rep < opts.transaction_inflation; ++rep) {
+        ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
+                              sizeof(real));
       }
-      // Coalesced store of the warp group's outputs.
-      ctx.mem().store_contiguous(static_cast<std::uint64_t>(w),
-                                 std::min<long long>(warps_per_block,
-                                                     X.rows() - w),
-                                 sizeof(real));
-    }
+      if (!y_resident) ctx.mem().load_stream(0, n, sizeof(real), y_path);
+      ctx.mem().add_flops(2ull * n);
+      ctx.counters().shuffle_ops += 31;  // warp reduction of partials
+      real s = 0;
+      for (usize c = 0; c < n; ++c) s += row[c] * y[c];
+      out.value[static_cast<usize>(r)] = s;
+    });
   }));
   return out;
 }
@@ -81,7 +53,7 @@ OpResult gemv_t(vgpu::Device& dev, const la::DenseMatrix& X,
   FUSEDML_CHECK(p.size() == static_cast<usize>(X.rows()),
                 "gemv_t dimension mismatch");
   const auto n = static_cast<usize>(X.cols());
-  LaunchConfig cfg = dense_config(dev, X.rows());
+  LaunchConfig cfg = detail::dense_config(dev, X.rows());
   cfg.label = "gemv_t";
   const int warps_per_block = cfg.block_size / 32;
   const long long rows_per_block_step =

@@ -200,24 +200,33 @@ KernelOutcome from_cpu(CpuOpResult op, std::string kernel) {
   out.kernel = std::move(kernel);
   return out;
 }
-
-/// Runs one ABFT check and folds its cost into the outcome. On mismatch the
-/// whole attempt is a loss: rethrow with the doomed op's modeled time added
-/// to the check's own cost so the retry loop charges the waste honestly.
-template <typename Check>
-void run_check(KernelOutcome& out, Check&& check) {
-  try {
-    const VerifyCharge charge = check();
-    out.launches += charge.launches;
-    out.modeled_ms += charge.modeled_ms;
-    out.counters += charge.counters;
-    out.verify_launches += charge.launches;
-    out.verify_ms += charge.modeled_ms;
-  } catch (const SilentCorruptionError& e) {
-    throw SilentCorruptionError(e.what(), e.penalty_ms() + out.modeled_ms);
-  }
-}
 }  // namespace
+
+template <typename Launch, typename Check, typename Prepare>
+KernelOutcome OpRegistry::verified(Launch&& launch, Check&& check,
+                                   std::span<real> in_place,
+                                   Prepare&& prepare) {
+  const bool chk = sdc_.arm();
+  if (chk) prepare();
+  KernelOutcome out = launch();
+  apply_injected_corruption(out, in_place);
+  if (chk) {
+    // On mismatch the whole attempt is a loss: rethrow with the doomed op's
+    // modeled time added to the check's own cost so the retry loop charges
+    // the waste honestly.
+    try {
+      const VerifyCharge charge = check(out);
+      out.launches += charge.launches;
+      out.modeled_ms += charge.modeled_ms;
+      out.counters += charge.counters;
+      out.verify_launches += charge.launches;
+      out.verify_ms += charge.modeled_ms;
+    } catch (const SilentCorruptionError& e) {
+      throw SilentCorruptionError(e.what(), e.penalty_ms() + out.modeled_ms);
+    }
+  }
+  return out;
+}
 
 void OpRegistry::apply_injected_corruption(KernelOutcome& out,
                                            std::span<real> in_place) {
@@ -268,43 +277,34 @@ KernelOutcome OpRegistry::transposed_product(Backend b, const la::CsrMatrix& X,
     }
     return from_cpu(std::move(op), "cpu spmv_t");
   }
-  const bool chk = sdc_.arm();
-  KernelOutcome out;
-  switch (b) {
-    case Backend::kFused:
-      out = from_op(fused_spmv_t(dev_, X, y, alpha, sparse_opts_),
-                    "fused_spmv_t (Alg. 1)");
-      break;
-    case Backend::kCusparse: {
-      auto op = baseline_xty_sparse(
-          dev_, X, y, SparseTransposeStrategy::kExplicitTranspose);
-      if (alpha != real{1}) {
-        auto s = dev_scal(dev_, alpha, op.value);
-        op.absorb_timing(s);
-      }
-      out = from_op(std::move(op), "csr2csc + csrmv");
-      break;
+  const auto baseline = [&](SparseTransposeStrategy strategy,
+                            const char* kernel) {
+    auto op = baseline_xty_sparse(dev_, X, y, strategy);
+    if (alpha != real{1}) {
+      auto s = dev_scal(dev_, alpha, op.value);
+      op.absorb_timing(s);
     }
-    case Backend::kBidmatGpu: {
-      auto op = baseline_xty_sparse(dev_, X, y,
-                                    SparseTransposeStrategy::kAtomicScatter);
-      if (alpha != real{1}) {
-        auto s = dev_scal(dev_, alpha, op.value);
-        op.absorb_timing(s);
-      }
-      out = from_op(std::move(op), "atomic-scatter spmv_t");
-      break;
-    }
-    default:
-      throw Error("unknown backend");
-  }
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out,
-              [&] { return sdc_.check_transposed_product(out.value, X, y,
-                                                         alpha); });
-  }
-  return out;
+    return from_op(std::move(op), kernel);
+  };
+  return verified(
+      [&] {
+        switch (b) {
+          case Backend::kFused:
+            return from_op(fused_spmv_t(dev_, X, y, alpha, sparse_opts_),
+                           "fused_spmv_t (Alg. 1)");
+          case Backend::kCusparse:
+            return baseline(SparseTransposeStrategy::kExplicitTranspose,
+                            "csr2csc + csrmv");
+          case Backend::kBidmatGpu:
+            return baseline(SparseTransposeStrategy::kAtomicScatter,
+                            "atomic-scatter spmv_t");
+          default:
+            throw Error("unknown backend");
+        }
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_transposed_product(out.value, X, y, alpha);
+      });
 }
 
 KernelOutcome OpRegistry::transposed_product(Backend b,
@@ -321,51 +321,43 @@ KernelOutcome OpRegistry::transposed_product(Backend b,
   // The paper does not fuse dense X^T x y ("we do not consider X^T x y,
   // when X is dense" — cuBLAS is already near-optimal), so every GPU
   // backend runs the gemv_t kernel, differing only in tile modeling.
-  const auto flavor =
-      b == Backend::kCusparse ? DenseFlavor::kCublas : DenseFlavor::kBidmat;
   GemvOptions opts;
-  if (flavor == DenseFlavor::kCublas) {
+  if (b == Backend::kCusparse) {
     opts.smem_conflict_ways = kCublasConflictWays;
     opts.transaction_inflation = kCublasTransactionInflation;
   }
-  const bool chk = sdc_.arm();
-  auto op = gemv_t(dev_, X, y, opts);
-  if (alpha != real{1}) {
-    auto s = dev_scal(dev_, alpha, op.value);
-    op.absorb_timing(s);
-  }
-  auto out = from_op(std::move(op), "gemv_t");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out,
-              [&] { return sdc_.check_transposed_product(out.value, X, y,
-                                                         alpha); });
-  }
-  return out;
+  return verified(
+      [&] {
+        auto op = gemv_t(dev_, X, y, opts);
+        if (alpha != real{1}) {
+          auto s = dev_scal(dev_, alpha, op.value);
+          op.absorb_timing(s);
+        }
+        return from_op(std::move(op), "gemv_t");
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_transposed_product(out.value, X, y, alpha);
+      });
 }
 
 KernelOutcome OpRegistry::product(Backend b, const la::CsrMatrix& X,
                                   std::span<const real> y) {
   if (b == Backend::kCpu) return from_cpu(cpu_.spmv(X, y), "cpu spmv");
-  const bool chk = sdc_.arm();
-  auto out = from_op(spmv_csr_vector(dev_, X, y), "csrmv");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_product(out.value, X, y); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(spmv_csr_vector(dev_, X, y), "csrmv"); },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_product(out.value, X, y);
+      });
 }
 
 KernelOutcome OpRegistry::product(Backend b, const la::DenseMatrix& X,
                                   std::span<const real> y) {
   if (b == Backend::kCpu) return from_cpu(cpu_.gemv(X, y), "cpu gemv");
-  const bool chk = sdc_.arm();
-  auto out = from_op(gemv_n(dev_, X, y), "gemv");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_product(out.value, X, y); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(gemv_n(dev_, X, y), "gemv"); },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_product(out.value, X, y);
+      });
 }
 
 KernelOutcome OpRegistry::pattern(Backend b, real alpha, const la::CsrMatrix& X,
@@ -375,36 +367,30 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha, const la::CsrMatrix& X,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.pattern(alpha, X, v, y, beta, z), "cpu pattern");
   }
-  const bool chk = sdc_.arm();
-  KernelOutcome out;
-  switch (b) {
-    case Backend::kFused:
-      out = from_op(
-          fused_pattern_sparse(dev_, alpha, X, v, y, beta, z, sparse_opts_),
-          "fused_pattern_sparse (Alg. 2)");
-      break;
-    case Backend::kCusparse:
-      out = from_op(baseline_pattern_sparse(
-                        dev_, alpha, X, v, y, beta, z,
-                        SparseTransposeStrategy::kExplicitTranspose),
-                    "csrmv + blas1 + csr2csc + csrmv");
-      break;
-    case Backend::kBidmatGpu:
-      out = from_op(
-          baseline_pattern_sparse(dev_, alpha, X, v, y, beta, z,
-                                  SparseTransposeStrategy::kAtomicScatter),
-          "csrmv + blas1 + atomic-scatter");
-      break;
-    default:
-      throw Error("unknown backend");
-  }
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] {
-      return sdc_.check_pattern(out.value, alpha, X, v, y, beta, z);
-    });
-  }
-  return out;
+  return verified(
+      [&] {
+        switch (b) {
+          case Backend::kFused:
+            return from_op(fused_pattern_sparse(dev_, alpha, X, v, y, beta,
+                                                z, sparse_opts_),
+                           "fused_pattern_sparse (Alg. 2)");
+          case Backend::kCusparse:
+            return from_op(baseline_pattern_sparse(
+                               dev_, alpha, X, v, y, beta, z,
+                               SparseTransposeStrategy::kExplicitTranspose),
+                           "csrmv + blas1 + csr2csc + csrmv");
+          case Backend::kBidmatGpu:
+            return from_op(baseline_pattern_sparse(
+                               dev_, alpha, X, v, y, beta, z,
+                               SparseTransposeStrategy::kAtomicScatter),
+                           "csrmv + blas1 + atomic-scatter");
+          default:
+            throw Error("unknown backend");
+        }
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_pattern(out.value, alpha, X, v, y, beta, z);
+      });
 }
 
 KernelOutcome OpRegistry::pattern(Backend b, real alpha,
@@ -416,129 +402,108 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha,
     return from_cpu(cpu_.pattern(alpha, X, v, y, beta, z), "cpu pattern");
   }
   const bool has_bz = !z.empty() && beta != real{0};
-  const bool chk = sdc_.arm();
-  KernelOutcome out;
-  switch (b) {
-    case Backend::kFused: {
-      if (!dense_fused_feasible(dev_.spec(), X.cols())) {
-        // §3.2: very wide dense rows exceed the register file — fall back
-        // to two separate Level-2 kernels instead of fusing.
-        out = from_op(baseline_pattern_dense(dev_, alpha, X, v, y, beta, z,
-                                             DenseFlavor::kBidmat),
-                      "gemv + gemv_t (fused infeasible: n too large, §3.2)");
-        break;
-      }
-      if (dense_opts_.use_codegen) {
-        // §3.2 lifecycle: the kernel for this (n, VS, TL, options) shape is
-        // generated once and reused on every subsequent iteration.
-        const auto params = fused_dense_params(dev_, X, dense_opts_);
-        codegen_cache_.dense_kernel({X.cols(), params.config.vector_size,
-                                     params.config.thread_load, !v.empty(),
-                                     has_bz});
-      }
-      out = from_op(fused_pattern_dense(dev_, alpha, X, v, y, beta, z,
-                                        dense_opts_),
-                    "fused_pattern_dense (Alg. 3, codegen)");
-      break;
-    }
-    case Backend::kCusparse:
-      out = from_op(baseline_pattern_dense(dev_, alpha, X, v, y, beta, z,
-                                           DenseFlavor::kCublas),
-                    "gemv + blas1 + gemv_t (cuBLAS tiles)");
-      break;
-    case Backend::kBidmatGpu:
-      out = from_op(baseline_pattern_dense(dev_, alpha, X, v, y, beta, z,
-                                           DenseFlavor::kBidmat),
-                    "gemv + blas1 + gemv_t (padded tiles)");
-      break;
-    default:
-      throw Error("unknown backend");
-  }
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] {
-      return sdc_.check_pattern(out.value, alpha, X, v, y, beta, z);
-    });
-  }
-  return out;
+  return verified(
+      [&] {
+        switch (b) {
+          case Backend::kFused:
+            if (!dense_fused_feasible(dev_.spec(), X.cols())) {
+              // §3.2: very wide dense rows exceed the register file — fall
+              // back to two separate Level-2 kernels instead of fusing.
+              return from_op(
+                  baseline_pattern_dense(dev_, alpha, X, v, y, beta, z,
+                                         DenseFlavor::kBidmat),
+                  "gemv + gemv_t (fused infeasible: n too large, §3.2)");
+            }
+            if (dense_opts_.use_codegen) {
+              // §3.2 lifecycle: the kernel for this (n, VS, TL, options)
+              // shape is generated once and reused on every subsequent
+              // iteration.
+              const auto params = fused_dense_params(dev_, X, dense_opts_);
+              codegen_cache_.dense_kernel({X.cols(),
+                                           params.config.vector_size,
+                                           params.config.thread_load,
+                                           !v.empty(), has_bz});
+            }
+            return from_op(fused_pattern_dense(dev_, alpha, X, v, y, beta, z,
+                                               dense_opts_),
+                           "fused_pattern_dense (Alg. 3, codegen)");
+          case Backend::kCusparse:
+            return from_op(baseline_pattern_dense(dev_, alpha, X, v, y, beta,
+                                                  z, DenseFlavor::kCublas),
+                           "gemv + blas1 + gemv_t (cuBLAS tiles)");
+          case Backend::kBidmatGpu:
+            return from_op(baseline_pattern_dense(dev_, alpha, X, v, y, beta,
+                                                  z, DenseFlavor::kBidmat),
+                           "gemv + blas1 + gemv_t (padded tiles)");
+          default:
+            throw Error("unknown backend");
+        }
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_pattern(out.value, alpha, X, v, y, beta, z);
+      });
 }
 
 KernelOutcome OpRegistry::axpy(Backend b, real alpha, std::span<const real> x,
                                std::span<real> y) {
   if (b == Backend::kCpu) return from_cpu(cpu_.axpy(alpha, x, y), "axpy");
-  const bool chk = sdc_.arm();
   HostSums sx, sy;
-  if (chk) {
-    // In-place op: the input checksums must be taken BEFORE the launch.
-    sx = AbftVerifier::host_sums(x);
-    sy = AbftVerifier::host_sums(y);
-  }
-  auto out = from_op(dev_axpy(dev_, alpha, x, y), "axpy");
-  apply_injected_corruption(out, y);
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_axpy(y, alpha, sx, sy); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(dev_axpy(dev_, alpha, x, y), "axpy"); },
+      [&](const KernelOutcome&) { return sdc_.check_axpy(y, alpha, sx, sy); },
+      y,
+      [&] {
+        sx = AbftVerifier::host_sums(x);
+        sy = AbftVerifier::host_sums(y);
+      });
 }
 
 KernelOutcome OpRegistry::scal(Backend b, real alpha, std::span<real> x) {
   if (b == Backend::kCpu) return from_cpu(cpu_.scal(alpha, x), "scal");
-  const bool chk = sdc_.arm();
   HostSums sx;
-  if (chk) sx = AbftVerifier::host_sums(x);
-  auto out = from_op(dev_scal(dev_, alpha, x), "scal");
-  apply_injected_corruption(out, x);
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_scal(x, alpha, sx); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(dev_scal(dev_, alpha, x), "scal"); },
+      [&](const KernelOutcome&) { return sdc_.check_scal(x, alpha, sx); }, x,
+      [&] { sx = AbftVerifier::host_sums(x); });
 }
 
 KernelOutcome OpRegistry::dot(Backend b, std::span<const real> x,
                               std::span<const real> y) {
   if (b == Backend::kCpu) return from_cpu(cpu_.dot(x, y), "dot");
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_dot(dev_, x, y), "dot");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_dot(out.value[0], x, y); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(dev_dot(dev_, x, y), "dot"); },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_dot(out.value[0], x, y);
+      });
 }
 
 KernelOutcome OpRegistry::nrm2(Backend b, std::span<const real> x) {
   if (b == Backend::kCpu) return from_cpu(cpu_.nrm2(x), "nrm2");
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_nrm2(dev_, x), "nrm2");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_nrm2(out.value[0], x); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(dev_nrm2(dev_, x), "nrm2"); },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_nrm2(out.value[0], x);
+      });
 }
 
 KernelOutcome OpRegistry::ewise_mul(Backend b, std::span<const real> x,
                                     std::span<const real> y) {
   if (b == Backend::kCpu) return from_cpu(cpu_.ewise_mul(x, y), "ewise_mul");
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_ewise_mul(dev_, x, y), "ewise_mul");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_ewise_mul(out.value, x, y); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(dev_ewise_mul(dev_, x, y), "ewise_mul"); },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_ewise_mul(out.value, x, y);
+      });
 }
 
 KernelOutcome OpRegistry::map(Backend b, std::span<const real> x,
                               real (*f)(real), const std::string& name) {
   if (b == Backend::kCpu) return from_cpu(cpu_.map(x, f), "cpu " + name);
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_map(dev_, x, f), name);
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_map(out.value, x, f); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(dev_map(dev_, x, f), name); },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_map(out.value, x, f);
+      });
 }
 
 KernelOutcome OpRegistry::fused_ewise(
@@ -553,16 +518,14 @@ KernelOutcome OpRegistry::fused_ewise(
   // (there is no vendor-library equivalent to fall back to — the unfused
   // plan, not a different kernel, is the alternative).
   codegen_cache_.ewise_kernel(program);
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_ewise_chain(dev_, program, inputs),
-                     ewise_kernel_name(program));
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out,
-              [&] { return sdc_.check_ewise_chain(out.value, program,
-                                                  inputs); });
-  }
-  return out;
+  return verified(
+      [&] {
+        return from_op(dev_ewise_chain(dev_, program, inputs),
+                       ewise_kernel_name(program));
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_ewise_chain(out.value, program, inputs);
+      });
 }
 
 KernelOutcome OpRegistry::outer_map(Backend b, std::span<const real> u,
@@ -571,13 +534,13 @@ KernelOutcome OpRegistry::outer_map(Backend b, std::span<const real> u,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.outer_map(u, v, f), "cpu outer_map " + name);
   }
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_outer_map(dev_, u, v, f), "outer_map " + name);
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_outer_map(out.value, u, v, f); });
-  }
-  return out;
+  return verified(
+      [&] {
+        return from_op(dev_outer_map(dev_, u, v, f), "outer_map " + name);
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_outer_map(out.value, u, v, f);
+      });
 }
 
 KernelOutcome OpRegistry::sparse_mask(Backend b, const la::CsrMatrix& X,
@@ -585,13 +548,11 @@ KernelOutcome OpRegistry::sparse_mask(Backend b, const la::CsrMatrix& X,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.mask_values(X, om), "cpu mask_values");
   }
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_mask_values(dev_, X, om), "mask_values");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_sparse_mask(out.value, X, om); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(dev_mask_values(dev_, X, om), "mask_values"); },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_sparse_mask(out.value, X, om);
+      });
 }
 
 KernelOutcome OpRegistry::sparse_mask(Backend b, const la::DenseMatrix& X,
@@ -599,13 +560,11 @@ KernelOutcome OpRegistry::sparse_mask(Backend b, const la::DenseMatrix& X,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.mask_values(X, om), "cpu mask_values");
   }
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_mask_values(dev_, X, om), "mask_values");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] { return sdc_.check_sparse_mask(out.value, X, om); });
-  }
-  return out;
+  return verified(
+      [&] { return from_op(dev_mask_values(dev_, X, om), "mask_values"); },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_sparse_mask(out.value, X, om);
+      });
 }
 
 KernelOutcome OpRegistry::masked_product(Backend b, const la::CsrMatrix& X,
@@ -614,14 +573,13 @@ KernelOutcome OpRegistry::masked_product(Backend b, const la::CsrMatrix& X,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.masked_spmv(X, vals, z), "cpu masked spmv");
   }
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_masked_spmv(dev_, X, vals, z), "masked csrmv");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out,
-              [&] { return sdc_.check_masked_product(out.value, X, vals, z); });
-  }
-  return out;
+  return verified(
+      [&] {
+        return from_op(dev_masked_spmv(dev_, X, vals, z), "masked csrmv");
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_masked_product(out.value, X, vals, z);
+      });
 }
 
 KernelOutcome OpRegistry::masked_product(Backend b, const la::DenseMatrix& X,
@@ -630,14 +588,13 @@ KernelOutcome OpRegistry::masked_product(Backend b, const la::DenseMatrix& X,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.masked_gemv(X, vals, z), "cpu masked gemv");
   }
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_masked_gemv(dev_, X, vals, z), "masked gemv");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out,
-              [&] { return sdc_.check_masked_product(out.value, X, vals, z); });
-  }
-  return out;
+  return verified(
+      [&] {
+        return from_op(dev_masked_gemv(dev_, X, vals, z), "masked gemv");
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_masked_product(out.value, X, vals, z);
+      });
 }
 
 KernelOutcome OpRegistry::fused_row(Backend b, const la::CsrMatrix& X,
@@ -648,16 +605,14 @@ KernelOutcome OpRegistry::fused_row(Backend b, const la::CsrMatrix& X,
     return from_cpu(cpu_.fused_row(X, y, program, ext),
                     "cpu fused row " + program.signature());
   }
-  const bool chk = sdc_.arm();
-  auto out =
-      from_op(dev_fused_row(dev_, X, y, program, ext), "fused_row (csr vector)");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] {
-      return sdc_.check_fused_row(out.value, X, y, program, ext);
-    });
-  }
-  return out;
+  return verified(
+      [&] {
+        return from_op(dev_fused_row(dev_, X, y, program, ext),
+                       "fused_row (csr vector)");
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_fused_row(out.value, X, y, program, ext);
+      });
 }
 
 KernelOutcome OpRegistry::fused_row(Backend b, const la::DenseMatrix& X,
@@ -668,16 +623,14 @@ KernelOutcome OpRegistry::fused_row(Backend b, const la::DenseMatrix& X,
     return from_cpu(cpu_.fused_row(X, y, program, ext),
                     "cpu fused row " + program.signature());
   }
-  const bool chk = sdc_.arm();
-  auto out =
-      from_op(dev_fused_row(dev_, X, y, program, ext), "fused_row (dense warp)");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] {
-      return sdc_.check_fused_row(out.value, X, y, program, ext);
-    });
-  }
-  return out;
+  return verified(
+      [&] {
+        return from_op(dev_fused_row(dev_, X, y, program, ext),
+                       "fused_row (dense warp)");
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_fused_row(out.value, X, y, program, ext);
+      });
 }
 
 KernelOutcome OpRegistry::fused_sddmm(Backend b, const la::CsrMatrix& X,
@@ -688,16 +641,14 @@ KernelOutcome OpRegistry::fused_sddmm(Backend b, const la::CsrMatrix& X,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.fused_sddmm(X, u, v, z, f), "cpu fused sddmm " + name);
   }
-  const bool chk = sdc_.arm();
-  auto out = from_op(dev_fused_sddmm(dev_, X, u, v, z, f),
-                     "fused_sddmm (csr vector)");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] {
-      return sdc_.check_fused_sddmm(out.value, X, u, v, z, f);
-    });
-  }
-  return out;
+  return verified(
+      [&] {
+        return from_op(dev_fused_sddmm(dev_, X, u, v, z, f),
+                       "fused_sddmm (csr vector)");
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_fused_sddmm(out.value, X, u, v, z, f);
+      });
 }
 
 KernelOutcome OpRegistry::fused_sddmm(Backend b, const la::DenseMatrix& X,
@@ -708,16 +659,14 @@ KernelOutcome OpRegistry::fused_sddmm(Backend b, const la::DenseMatrix& X,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.fused_sddmm(X, u, v, z, f), "cpu fused sddmm " + name);
   }
-  const bool chk = sdc_.arm();
-  auto out =
-      from_op(dev_fused_sddmm(dev_, X, u, v, z, f), "fused_sddmm (dense)");
-  apply_injected_corruption(out, {});
-  if (chk) {
-    run_check(out, [&] {
-      return sdc_.check_fused_sddmm(out.value, X, u, v, z, f);
-    });
-  }
-  return out;
+  return verified(
+      [&] {
+        return from_op(dev_fused_sddmm(dev_, X, u, v, z, f),
+                       "fused_sddmm (dense)");
+      },
+      [&](const KernelOutcome& out) {
+        return sdc_.check_fused_sddmm(out.value, X, u, v, z, f);
+      });
 }
 
 KernelOutcome OpRegistry::execute_resilient(

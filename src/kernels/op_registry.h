@@ -299,6 +299,19 @@ class OpRegistry {
   DispatchObserver* observer_ = nullptr;
   AbftVerifier sdc_{dev_, cpu_};
 
+  struct NoPrepare {
+    void operator()() const {}
+  };
+  /// The one verified-dispatch body every GPU op runs: arm the ABFT
+  /// verifier, run `prepare` if armed (in-place ops checksum their inputs
+  /// BEFORE the launch), `launch()` the kernel, apply any injected silent
+  /// corruption (mirrored into `in_place`), then, if armed, fold
+  /// `check(out)`'s verification cost into the outcome.
+  template <typename Launch, typename Check, typename Prepare = NoPrepare>
+  KernelOutcome verified(Launch&& launch, Check&& check,
+                         std::span<real> in_place = {},
+                         Prepare&& prepare = {});
+
   /// Consume side of the device's silent-corruption handshake: if any
   /// launch of the op that produced `out` drew kSilentCorruption, perturb
   /// one deterministic seeded element of the output (and mirror it into the

@@ -1,10 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 
 #include "common/json.h"
-#include "common/stats.h"
 #include "obs/trace.h"
 
 namespace fusedml::obs {
@@ -44,7 +44,14 @@ double Histogram::mean() const {
 double Histogram::percentile(double p) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (reservoir_.empty()) return 0.0;  // empty histogram: no samples to rank
-  return fusedml::percentile(reservoir_, p);
+  // Nearest rank: the smallest retained sample with at least p% of the
+  // samples at or below it — always an observed value, never interpolated.
+  std::vector<double> sorted = reservoir_;
+  std::sort(sorted.begin(), sorted.end());
+  const double n = static_cast<double>(sorted.size());
+  const auto rank =
+      static_cast<usize>(std::ceil(std::clamp(p, 0.0, 100.0) * n / 100.0));
+  return sorted[std::max<usize>(rank, 1) - 1];
 }
 
 double Histogram::min() const {

@@ -69,9 +69,10 @@ class Gauge {
 /// come from a fixed-size reservoir (Vitter's algorithm R with a
 /// deterministic LCG stream, so single-threaded runs reproduce bit-exactly).
 /// Below kReservoirCapacity observations the reservoir holds EVERY sample
-/// and percentile() is exact; past it each new observation replaces a
-/// uniformly-chosen slot, so memory stays O(1) under chaos soaks that push
-/// millions of latencies through one histogram. percentile() on an empty
+/// and percentile() is the exact nearest-rank quantile (an observed value,
+/// never interpolated: p50 of 1..100 is 50); past it each new observation
+/// replaces a uniformly-chosen slot, so memory stays O(1) under chaos soaks
+/// that push millions of latencies through one histogram. percentile() on an empty
 /// histogram returns 0 instead of indexing into an empty sample vector.
 class Histogram {
  public:

@@ -8,7 +8,9 @@ WorkerSession::WorkerSession(int id, const ServeOptions& opts,
                              usize memory_bytes)
     : id_(id),
       memory_bytes_(memory_bytes),
-      executor_(device_, opts.preferred_backend, opts.cpu_threads) {
+      // Workers prefer the fused kernels and degrade from there; the CPU
+      // tier keeps the executor's default 8-thread cost model.
+      executor_(device_, kernels::Backend::kFused) {
   executor_.retry_policy() = opts.retry;
   apply_faults(opts.faults);
 }

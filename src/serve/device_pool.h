@@ -36,12 +36,10 @@ struct ServeOptions {
   /// Aggregate modeled device memory across the pool; each worker session
   /// is budgeted pool_memory_bytes / workers.
   usize pool_memory_bytes = usize{4} << 30;
-  kernels::Backend preferred_backend = kernels::Backend::kFused;
   /// Per-dispatch fault handling (attempts, backoff, retry budget) applied
   /// to every request; a request deadline further clamps the budget.
   RetryPolicy retry;
   BreakerConfig breaker;
-  int cpu_threads = 8;
   /// Fault schedule armed on every worker at start (worker w reseeds with
   /// seed + w so streams differ); all-zero rates = clean devices.
   vgpu::FaultConfig faults;

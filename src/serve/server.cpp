@@ -398,7 +398,7 @@ ServeOutcome Server::run_script(WorkerSession& session, const ScriptEval& eval,
     o.kind = OutcomeKind::kCompleted;
     o.value = std::move(r.weights);
     o.modeled_ms = r.runtime_stats.total_ms();
-    o.backend_used = r.runtime_stats.gpu_ops > 0 ? opts_.preferred_backend
+    o.backend_used = r.runtime_stats.gpu_ops > 0 ? kernels::Backend::kFused
                                                  : kernels::Backend::kCpu;
   } catch (const DeadlineError& e) {
     o.kind = OutcomeKind::kDeadlineExceeded;
@@ -446,9 +446,11 @@ void Server::count_outcome(const ServeOutcome& o) {
       break;
   }
   if (o.worker >= 0) {
-    std::lock_guard lock(agg_mutex_);
-    resilience_total_ += o.resilience;
-    latency_samples_.push_back(o.queue_wait_ms + o.modeled_ms);
+    {
+      std::lock_guard lock(agg_mutex_);
+      resilience_total_ += o.resilience;
+    }
+    latency_.observe(o.queue_wait_ms + o.modeled_ms);
   }
   slo_.record(o);
   if (opts_.flight_recorder) {
@@ -529,11 +531,6 @@ ServeStats Server::stats() const {
   s.quarantine_reentries = device_health_.reentries();
   s.readmissions = readmissions_.load(std::memory_order_relaxed);
   return s;
-}
-
-std::vector<double> Server::latency_samples() const {
-  std::lock_guard lock(agg_mutex_);
-  return latency_samples_;
 }
 
 ServerStatus Server::status() const {

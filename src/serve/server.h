@@ -34,6 +34,7 @@
 #include "common/resilience.h"
 #include "common/types.h"
 #include "la/csr_matrix.h"
+#include "obs/metrics.h"
 #include "serve/admission_queue.h"
 #include "serve/circuit_breaker.h"
 #include "serve/device_pool.h"
@@ -135,8 +136,9 @@ class Server {
   double now_ms() const;
 
   /// Modeled latency (queue wait + execution) of every request that reached
-  /// a worker — completed, deadline-exceeded, or failed. For percentiles.
-  std::vector<double> latency_samples() const;
+  /// a worker — completed, deadline-exceeded, or failed — in one bounded
+  /// reservoir histogram (the same quantile definition as the SLO report).
+  const obs::Histogram& latency() const { return latency_; }
 
   BreakerBoard& breakers() { return breakers_; }
   DeviceHealthBoard& device_health() { return device_health_; }
@@ -169,9 +171,9 @@ class Server {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> readmissions_{0};
 
-  mutable std::mutex agg_mutex_;  // guards the two aggregates below
+  mutable std::mutex agg_mutex_;  // guards resilience_total_
   ResilienceStats resilience_total_;
-  std::vector<double> latency_samples_;
+  obs::Histogram latency_;  // internally synchronized
 
   // Observability: per-class SLO accounting (always on) and the flight
   // recorder (ring always records when enabled; anomaly detection uses
