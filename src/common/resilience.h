@@ -41,6 +41,16 @@ struct RetryPolicy {
            spent_overhead_ms >= max_total_overhead_ms;
   }
 
+  /// This policy with its total retry budget clamped to `remaining_ms` of
+  /// deadline headroom: the tighter of the two when a budget is already set.
+  RetryPolicy clamped_to(double remaining_ms) const {
+    RetryPolicy p = *this;
+    if (max_total_overhead_ms <= 0.0 || remaining_ms < max_total_overhead_ms) {
+      p.max_total_overhead_ms = remaining_ms;
+    }
+    return p;
+  }
+
   /// Modeled wait before re-attempt number `attempt` (1-based: the wait
   /// after the attempt-th failure).
   double backoff_ms(int attempt) const {

@@ -12,7 +12,9 @@
 //   la       — matrix formats, conversions, generators, reference oracles
 //   kernels  — fused kernels + every baseline + streaming/hybrid extensions
 //   tuner    — §3.3 launch-parameter model + exhaustive autotuner
-//   patterns — the PatternExecutor back-end (internal to the registry path)
+//   patterns — PatternExecutor: a session pinned to one backend over the op
+//              registry (Table 1/2/5 benches, examples, serve's pattern
+//              requests, the legacy solvers)
 //   sysml    — declarative runtime: ExprBuilder/Program IR, DAG, fusion
 //              planner, GPU memory manager
 //   ml       — the algorithm ScriptLibrary (LR-CG, GLM, LogReg, SVM, HITS)

@@ -10,6 +10,15 @@ namespace {
 // transposed writes) reach roughly a third of stream bandwidth on a
 // dual-channel desktop part; dense gemv streams near the default.
 constexpr double kSparseCpuEfficiency = 0.55;
+
+/// The pattern's BLAS-1 traffic: v ⊙ (X*y) and the beta*z update triple
+/// the vector streams they touch.
+std::uint64_t pattern_blas1_bytes(index_t rows, index_t cols, bool has_v,
+                                  bool has_z) {
+  return (static_cast<std::uint64_t>(rows) * (has_v ? 3 : 1) +
+          static_cast<std::uint64_t>(cols) * (has_z ? 3 : 1)) *
+         sizeof(real);
+}
 }  // namespace
 
 std::uint64_t CpuBackend::sparse_bytes(const la::CsrMatrix& X) const {
@@ -37,12 +46,16 @@ CpuOpResult CpuBackend::spmv_t(const la::CsrMatrix& X,
   CpuOpResult out;
   out.value = la::reference::spmv_transposed(X, y);
   out.wall_ms = t.elapsed_ms();
+  out.modeled_ms = transposed_product_ms(X);
+  return out;
+}
+
+double CpuBackend::transposed_product_ms(const la::CsrMatrix& X) const {
   // The transposed walk scatters into w; charge an extra output pass.
-  out.modeled_ms = model_.op_time_ms(
+  return model_.op_time_ms(
       sparse_bytes(X) + static_cast<std::uint64_t>(X.cols()) * sizeof(real),
       2ull * static_cast<std::uint64_t>(X.nnz()), threads_,
       kSparseCpuEfficiency);
-  return out;
 }
 
 CpuOpResult CpuBackend::gemv(const la::DenseMatrix& X,
@@ -64,11 +77,15 @@ CpuOpResult CpuBackend::gemv_t(const la::DenseMatrix& X,
   CpuOpResult out;
   out.value = la::reference::gemv_transposed(X, p);
   out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = model_.op_time_ms(
+  out.modeled_ms = transposed_product_ms(X);
+  return out;
+}
+
+double CpuBackend::transposed_product_ms(const la::DenseMatrix& X) const {
+  return model_.op_time_ms(
       X.bytes() + (static_cast<std::uint64_t>(X.rows()) + X.cols()) *
                       sizeof(real),
       2ull * X.data().size(), threads_);
-  return out;
 }
 
 CpuOpResult CpuBackend::pattern(real alpha, const la::CsrMatrix& X,
@@ -79,16 +96,18 @@ CpuOpResult CpuBackend::pattern(real alpha, const la::CsrMatrix& X,
   CpuOpResult out;
   out.value = la::reference::pattern(alpha, X, v, y, beta, z);
   out.wall_ms = t.elapsed_ms();
+  out.modeled_ms = pattern_ms(X, !v.empty(), !z.empty());
+  return out;
+}
+
+double CpuBackend::pattern_ms(const la::CsrMatrix& X, bool has_v,
+                              bool has_z) const {
   // Two passes over X (product + transposed product) plus the BLAS-1 work.
-  const std::uint64_t blas1_bytes =
-      (static_cast<std::uint64_t>(X.rows()) * (v.empty() ? 1 : 3) +
-       static_cast<std::uint64_t>(X.cols()) * (z.empty() ? 1 : 3)) *
-      sizeof(real);
-  out.modeled_ms = model_.op_time_ms(
-      2 * sparse_bytes(X) + blas1_bytes,
+  return model_.op_time_ms(
+      2 * sparse_bytes(X) +
+          pattern_blas1_bytes(X.rows(), X.cols(), has_v, has_z),
       4ull * static_cast<std::uint64_t>(X.nnz()), threads_,
       kSparseCpuEfficiency);
-  return out;
 }
 
 CpuOpResult CpuBackend::pattern(real alpha, const la::DenseMatrix& X,
@@ -99,13 +118,15 @@ CpuOpResult CpuBackend::pattern(real alpha, const la::DenseMatrix& X,
   CpuOpResult out;
   out.value = la::reference::pattern(alpha, X, v, y, beta, z);
   out.wall_ms = t.elapsed_ms();
-  const std::uint64_t blas1_bytes =
-      (static_cast<std::uint64_t>(X.rows()) * (v.empty() ? 1 : 3) +
-       static_cast<std::uint64_t>(X.cols()) * (z.empty() ? 1 : 3)) *
-      sizeof(real);
-  out.modeled_ms = model_.op_time_ms(2 * X.bytes() + blas1_bytes,
-                                     4ull * X.data().size(), threads_);
+  out.modeled_ms = pattern_ms(X, !v.empty(), !z.empty());
   return out;
+}
+
+double CpuBackend::pattern_ms(const la::DenseMatrix& X, bool has_v,
+                              bool has_z) const {
+  return model_.op_time_ms(
+      2 * X.bytes() + pattern_blas1_bytes(X.rows(), X.cols(), has_v, has_z),
+      4ull * X.data().size(), threads_);
 }
 
 namespace {

@@ -50,6 +50,15 @@ class CpuBackend {
                       std::span<const real> v, std::span<const real> y,
                       real beta, std::span<const real> z) const;
 
+  // Value-free cost of the products above: the modeled_ms the executing op
+  // books, computed from shapes alone (Table 6's CPU-equivalent of an op
+  // that ran on the device).
+  double pattern_ms(const la::CsrMatrix& X, bool has_v, bool has_z) const;
+  double pattern_ms(const la::DenseMatrix& X, bool has_v, bool has_z) const;
+  /// spmv_t / gemv_t.
+  double transposed_product_ms(const la::CsrMatrix& X) const;
+  double transposed_product_ms(const la::DenseMatrix& X) const;
+
   // BLAS-1.
   CpuOpResult axpy(real alpha, std::span<const real> x,
                    std::span<real> y) const;

@@ -290,7 +290,7 @@ KernelOutcome OpRegistry::transposed_product(Backend b, const la::CsrMatrix& X,
       [&] {
         switch (b) {
           case Backend::kFused:
-            return from_op(fused_spmv_t(dev_, X, y, alpha, sparse_opts_),
+            return from_op(fused_spmv_t(dev_, X, y, alpha),
                            "fused_spmv_t (Alg. 1)");
           case Backend::kCusparse:
             return baseline(SparseTransposeStrategy::kExplicitTranspose,
@@ -371,8 +371,7 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha, const la::CsrMatrix& X,
       [&] {
         switch (b) {
           case Backend::kFused:
-            return from_op(fused_pattern_sparse(dev_, alpha, X, v, y, beta,
-                                                z, sparse_opts_),
+            return from_op(fused_pattern_sparse(dev_, alpha, X, v, y, beta, z),
                            "fused_pattern_sparse (Alg. 2)");
           case Backend::kCusparse:
             return from_op(baseline_pattern_sparse(
@@ -405,7 +404,7 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha,
   return verified(
       [&] {
         switch (b) {
-          case Backend::kFused:
+          case Backend::kFused: {
             if (!dense_fused_feasible(dev_.spec(), X.cols())) {
               // §3.2: very wide dense rows exceed the register file — fall
               // back to two separate Level-2 kernels instead of fusing.
@@ -414,19 +413,15 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha,
                                          DenseFlavor::kBidmat),
                   "gemv + gemv_t (fused infeasible: n too large, §3.2)");
             }
-            if (dense_opts_.use_codegen) {
-              // §3.2 lifecycle: the kernel for this (n, VS, TL, options)
-              // shape is generated once and reused on every subsequent
-              // iteration.
-              const auto params = fused_dense_params(dev_, X, dense_opts_);
-              codegen_cache_.dense_kernel({X.cols(),
-                                           params.config.vector_size,
-                                           params.config.thread_load,
-                                           !v.empty(), has_bz});
-            }
-            return from_op(fused_pattern_dense(dev_, alpha, X, v, y, beta, z,
-                                               dense_opts_),
+            // §3.2 lifecycle: the kernel for this (n, VS, TL, options) shape
+            // is generated once and reused on every subsequent iteration.
+            const auto params = fused_dense_params(dev_, X, {});
+            codegen_cache_.dense_kernel({X.cols(), params.config.vector_size,
+                                         params.config.thread_load,
+                                         !v.empty(), has_bz});
+            return from_op(fused_pattern_dense(dev_, alpha, X, v, y, beta, z),
                            "fused_pattern_dense (Alg. 3, codegen)");
+          }
           case Backend::kCusparse:
             return from_op(baseline_pattern_dense(dev_, alpha, X, v, y, beta,
                                                   z, DenseFlavor::kCublas),

@@ -168,11 +168,11 @@ struct KernelOutcome {
   double verify_ms = 0.0;
 };
 
-/// One registry per device: owns the CPU backend, the fused-kernel options,
-/// and the generated-kernel cache, and exposes each logical op as a single
-/// backend-switch body. All methods may throw the typed faults of
-/// common/error.h when a fault injector is armed — wrap calls in
-/// execute_resilient to absorb them under a RetryPolicy.
+/// One registry per device: owns the CPU backend and the generated-kernel
+/// cache, runs the fused kernels with their default options, and exposes
+/// each logical op as a single backend-switch body. All methods may throw
+/// the typed faults of common/error.h when a fault injector is armed — wrap
+/// calls in execute_resilient to absorb them under a RetryPolicy.
 class OpRegistry {
  public:
   explicit OpRegistry(vgpu::Device& dev, int cpu_threads = 8)
@@ -271,10 +271,6 @@ class OpRegistry {
   VerifyPolicy verify_policy() const { return sdc_.policy(); }
   AbftVerifier& verifier() { return sdc_; }
 
-  /// Fused-kernel options applied on the kFused backend.
-  FusedSparseOptions& sparse_options() { return sparse_opts_; }
-  FusedDenseOptions& dense_options() { return dense_opts_; }
-
   /// Generated-kernel cache (dense pattern shapes + ewise-chain programs).
   const KernelCache& kernel_cache() const { return codegen_cache_; }
 
@@ -292,8 +288,6 @@ class OpRegistry {
  private:
   vgpu::Device& dev_;
   CpuBackend cpu_;
-  FusedSparseOptions sparse_opts_;
-  FusedDenseOptions dense_opts_;
   KernelCache codegen_cache_;
   BackendHealth* health_ = nullptr;
   DispatchObserver* observer_ = nullptr;

@@ -5,11 +5,14 @@
 // each solver builds its inner-loop expressions once through the
 // ExprBuilder/Program frontend (sysml/expr.h), the fusion planner (or the
 // hardcoded §4.4 template pass) rewrites them, and Runtime::run interprets
-// the planned DAGs — PatternExecutor is now an internal backend reached
-// only through the operator registry. The serving layer routes every
-// ScriptKind here, benches iterate script_library() instead of hand-wiring
-// call sites, and the legacy imperative solvers in ml/ remain only as the
-// pre-refactor oracles the bit-exactness tests compare against.
+// the planned DAGs, dispatching each op straight through the operator
+// registry. The serving layer routes every ScriptKind here and benches
+// iterate script_library() instead of hand-wiring call sites. The legacy
+// imperative solvers in ml/ run on patterns::PatternExecutor, a separate
+// session pinned to one backend: they are the oracles the bit-exactness
+// tests compare against and the engine of the Table 1/2/5 benches, whose
+// figures the scheduler-placed scripts would not reproduce
+// (docs/ARCHITECTURE.md).
 //
 // Bit-exactness contract (asserted in tests/test_script_library.cpp): on a
 // runtime whose scheduler places ops on the device, the planner path of

@@ -1,8 +1,5 @@
 #include "patterns/executor.h"
 
-#include <algorithm>
-
-#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -13,24 +10,9 @@ PatternResult PatternExecutor::run(
     PatternKind kind, std::span<real> inout) {
   obs::TraceSpan span("pattern:" + to_string(kind), "pattern",
                       obs::Track::kOps);
-  RetryPolicy policy = retry_;
-  if (deadline_ms_ > 0.0) {
-    if (session_modeled_ms_ >= deadline_ms_) {
-      throw DeadlineError(
-          "pattern session modeled deadline exceeded before dispatch (" +
-          std::to_string(session_modeled_ms_) + " of " +
-          std::to_string(deadline_ms_) + " ms spent)");
-    }
-    const double remaining_ms = deadline_ms_ - session_modeled_ms_;
-    policy.max_total_overhead_ms =
-        policy.max_total_overhead_ms > 0.0
-            ? std::min(policy.max_total_overhead_ms, remaining_ms)
-            : remaining_ms;
-  }
   kernels::KernelOutcome o =
-      registry_.execute_resilient(backend_, policy, attempt, inout,
+      registry_.execute_resilient(backend_, retry_, attempt, inout,
                                   &resilience_);
-  session_modeled_ms_ += o.modeled_ms;
   if (span.active()) span.arg("kernel", o.kernel);
   if (obs::metrics().enabled()) {
     obs::metrics().counter("patterns.calls").add();
@@ -98,12 +80,6 @@ PatternResult PatternExecutor::nrm2(std::span<const real> x) {
 PatternResult PatternExecutor::scal(real alpha, std::span<real> x) {
   return run([&](Backend b) { return registry_.scal(b, alpha, x); },
              PatternKind::kXty, x);
-}
-
-PatternResult PatternExecutor::ewise_mul(std::span<const real> x,
-                                         std::span<const real> y) {
-  return run([&](Backend b) { return registry_.ewise_mul(b, x, y); },
-             PatternKind::kXty);
 }
 
 PatternResult PatternExecutor::pattern(real alpha, const la::CsrMatrix& X,

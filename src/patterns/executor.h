@@ -83,7 +83,6 @@ class PatternExecutor {
   PatternResult dot(std::span<const real> x, std::span<const real> y);
   PatternResult nrm2(std::span<const real> x);
   PatternResult scal(real alpha, std::span<real> x);
-  PatternResult ewise_mul(std::span<const real> x, std::span<const real> y);
 
   /// w = alpha * X^T * (v ⊙ (X*y)) + beta*z; v/z may be empty.
   PatternResult pattern(real alpha, const la::CsrMatrix& X,
@@ -101,15 +100,6 @@ class PatternExecutor {
     return pattern(1, X, {}, y, 0, {});
   }
 
-  /// Fused-kernel options (texture binding, aggregation variant, cache
-  /// modeling) applied when backend() == kFused.
-  kernels::FusedSparseOptions& sparse_options() {
-    return registry_.sparse_options();
-  }
-  kernels::FusedDenseOptions& dense_options() {
-    return registry_.dense_options();
-  }
-
   /// Fault-handling knobs (attempts per backend, modeled backoff schedule,
   /// whether backend degradation is permitted).
   RetryPolicy& retry_policy() { return retry_; }
@@ -118,19 +108,6 @@ class PatternExecutor {
   /// Session-cumulative resilience stats across every op this executor ran.
   const ResilienceStats& resilience() const { return resilience_; }
   void reset_resilience() { resilience_ = ResilienceStats{}; }
-
-  // --- Modeled session deadline (serving-layer support) -------------------
-  /// Cumulative modeled milliseconds of every op since the last
-  /// reset_session_clock() — the executor's position on the modeled
-  /// timeline.
-  double session_modeled_ms() const { return session_modeled_ms_; }
-  void reset_session_clock() { session_modeled_ms_ = 0.0; }
-  /// Deadline on the session clock (0 = none): an op dispatched after the
-  /// clock passes it throws DeadlineError instead of running, and each
-  /// dispatch's retry budget is clamped to the remaining headroom. The
-  /// serving layer points this at a request's modeled deadline.
-  void set_modeled_deadline(double deadline_ms) { deadline_ms_ = deadline_ms; }
-  double modeled_deadline() const { return deadline_ms_; }
 
   /// Pattern-kind usage histogram (feeds the Table 1 bench).
   const std::map<PatternKind, std::uint64_t>& usage() const { return usage_; }
@@ -144,8 +121,6 @@ class PatternExecutor {
   }
 
   kernels::OpRegistry& registry() { return registry_; }
-  vgpu::Device& device() { return registry_.device(); }
-  const kernels::CpuBackend& cpu() const { return registry_.cpu(); }
 
  private:
   kernels::OpRegistry registry_;
@@ -153,8 +128,6 @@ class PatternExecutor {
   std::map<PatternKind, std::uint64_t> usage_;
   RetryPolicy retry_;
   ResilienceStats resilience_;
-  double session_modeled_ms_ = 0.0;
-  double deadline_ms_ = 0.0;
 
   void record(PatternKind kind) { ++usage_[kind]; }
 

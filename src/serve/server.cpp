@@ -343,10 +343,11 @@ ServeOutcome Server::run_pattern(WorkerSession& session,
                                  RequestTracer* tracer) {
   ServeOutcome o;
   auto& ex = session.executor();
-  ex.retry_policy() = opts_.retry;
+  // The request is one op on a clock starting at 0: its deadline headroom is
+  // the whole budget, which also caps the op's retries.
+  ex.retry_policy() =
+      budget_ms > 0.0 ? opts_.retry.clamped_to(budget_ms) : opts_.retry;
   ex.reset_resilience();
-  ex.reset_session_clock();
-  ex.set_modeled_deadline(budget_ms);
   ex.registry().set_verify_policy(verify);
   // The session's registry outlives this request — observe for the run only.
   ex.registry().set_dispatch_observer(tracer);
@@ -360,14 +361,11 @@ ServeOutcome Server::run_pattern(WorkerSession& session,
   } catch (const DeadlineError& e) {
     o.kind = OutcomeKind::kDeadlineExceeded;
     o.error = e.what();
-    o.modeled_ms = ex.session_modeled_ms();
   } catch (const Error& e) {
     o.kind = OutcomeKind::kFailed;
     o.error = e.what();
-    o.modeled_ms = ex.session_modeled_ms();
   }
   o.resilience = ex.resilience();
-  ex.set_modeled_deadline(0.0);
   ex.registry().set_dispatch_observer(nullptr);
   return o;
 }

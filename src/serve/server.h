@@ -18,8 +18,8 @@
 //
 // DEADLINES are enforced at four points: at dequeue (already expired →
 // kDeadlineExceeded without executing), inside each dispatch (remaining
-// headroom clamps the retry budget; see RetryPolicy.max_total_overhead_ms),
-// between ops (executor/runtime session deadline), and post-execution
+// headroom clamps the retry budget; see RetryPolicy::clamped_to), between
+// ops (the script runtime's modeled deadline), and post-execution
 // (finished but past the deadline → the value is discarded and the request
 // reports kDeadlineExceeded — a serving system cannot use a late answer).
 #pragma once

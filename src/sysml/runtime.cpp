@@ -1,7 +1,9 @@
 #include "sysml/runtime.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
+#include <type_traits>
 
 #include "common/cli.h"
 #include "common/error.h"
@@ -76,19 +78,26 @@ std::vector<real>& Runtime::vec(TensorId id) {
   return *v;
 }
 
-const la::CsrMatrix* Runtime::sparse(TensorId id) {
-  return std::get_if<la::CsrMatrix>(&value(id));
-}
-
-const la::DenseMatrix* Runtime::dense(TensorId id) {
-  return std::get_if<la::DenseMatrix>(&value(id));
-}
-
 usize Runtime::tensor_bytes(TensorId id) {
   const Value& v = value(id);
   if (const auto* s = std::get_if<la::CsrMatrix>(&v)) return s->bytes();
   if (const auto* d = std::get_if<la::DenseMatrix>(&v)) return d->bytes();
   return std::get<std::vector<real>>(v).size() * sizeof(real);
+}
+
+template <typename F>
+auto Runtime::with_matrix(TensorId id, const char* label, F&& f) {
+  using R = std::invoke_result_t<F&, const la::CsrMatrix&>;
+  return std::visit(
+      [&](const auto& m) -> R {
+        if constexpr (std::is_same_v<std::decay_t<decltype(m)>,
+                                     std::vector<real>>) {
+          throw Error(std::string(label) + " needs a matrix");
+        } else {
+          return f(m);
+        }
+      },
+      value(id));
 }
 
 TensorInfo Runtime::tensor_info(TensorId id) {
@@ -112,8 +121,7 @@ TensorInfo Runtime::tensor_info(TensorId id) {
   return info;
 }
 
-bool Runtime::stage_on_device(TensorId id) {
-  if (!opts_.enable_gpu) return false;
+void Runtime::stage_on_device(TensorId id) {
   if (!native_[id]) {
     // First device contact: pay the JNI representation change + heap copy.
     const Value& v = value(id);
@@ -142,31 +150,22 @@ bool Runtime::stage_on_device(TensorId id) {
     native_[id] = true;
   }
   stats_.transfer_ms += mm_.ensure_on_device(id);
-  return true;
 }
 
 void Runtime::sync_to_host(TensorId id) {
   stats_.transfer_ms += mm_.ensure_on_host(id);
 }
 
-double Runtime::estimate_gpu_ms(usize bytes_touched, TensorId) {
-  // Streaming heuristic at effective device bandwidth, plus launch overhead.
-  const double bw =
-      dev_.spec().mem_bandwidth_gbs * 0.8;  // GB/s == bytes/ns
-  return (static_cast<double>(bytes_touched) / bw / 1e6 + 0.005) *
-         opts_.gpu_cost_bias;
-}
-
-double Runtime::estimate_cpu_ms(usize bytes_touched) {
-  const double bw = cpu().threads() > 1 ? 21.8 : 8.0;
-  return static_cast<double>(bytes_touched) / bw / 1e6 + 0.002;
-}
-
-bool Runtime::choose_gpu_span(usize bytes_touched,
-                              std::span<const TensorId> inputs) {
+bool Runtime::choose_gpu(usize bytes_touched,
+                         std::span<const TensorId> inputs) {
   if (!opts_.enable_gpu) return false;
-  double gpu = estimate_gpu_ms(bytes_touched, 0);
-  double cpu = estimate_cpu_ms(bytes_touched);
+  // Streaming heuristics: effective device bandwidth (GB/s == bytes/ns) plus
+  // launch overhead, against the host's memory bandwidth.
+  const double bytes = static_cast<double>(bytes_touched);
+  double gpu_ms =
+      (bytes / (dev_.spec().mem_bandwidth_gbs * 0.8) / 1e6 + 0.005) *
+      opts_.gpu_cost_bias;
+  double cpu_ms = bytes / (cpu().threads() > 1 ? 21.8 : 8.0) / 1e6 + 0.002;
   for (TensorId id : inputs) {
     if (id == 0) continue;
     // Over-capacity tensors can never become resident; only op_pattern has
@@ -175,53 +174,73 @@ bool Runtime::choose_gpu_span(usize bytes_touched,
     const usize b = tensor_bytes(id);
     if (!mm_.on_device(id) ||
         mm_.residency(id) == Residency::kHostDirty) {
-      gpu += static_cast<double>(b) / dev_.spec().pcie_bandwidth_gbs / 1e6 /
-             std::max(1.0, opts_.transfer_amortization);
+      gpu_ms += static_cast<double>(b) / dev_.spec().pcie_bandwidth_gbs /
+                1e6 / std::max(1.0, opts_.transfer_amortization);
     }
     if (mm_.on_device(id) && mm_.residency(id) == Residency::kDeviceDirty) {
-      cpu += static_cast<double>(b) / dev_.spec().pcie_bandwidth_gbs / 1e6;
+      cpu_ms += static_cast<double>(b) / dev_.spec().pcie_bandwidth_gbs / 1e6;
     }
   }
   FUSEDML_LOG_DEBUG << "scheduler: " << bytes_touched << "B op -> "
-                    << (gpu < cpu ? "GPU" : "CPU") << " (est gpu=" << gpu
-                    << "ms cpu=" << cpu << "ms)";
-  return gpu < cpu;
+                    << (gpu_ms < cpu_ms ? "GPU" : "CPU") << " (est gpu="
+                    << gpu_ms << "ms cpu=" << cpu_ms << "ms)";
+  return gpu_ms < cpu_ms;
 }
 
-bool Runtime::choose_gpu(usize bytes_touched,
-                         std::initializer_list<TensorId> inputs) {
-  return choose_gpu_span(bytes_touched,
-                         {inputs.begin(), inputs.size()});
-}
-
-kernels::KernelOutcome Runtime::run_resilient(
-    kernels::Backend preferred,
-    const std::function<kernels::KernelOutcome(kernels::Backend)>& attempt,
-    std::span<real> inout) {
-  if (deadline_ms_ <= 0.0) {
-    return registry_.execute_resilient(preferred, retry_, attempt, inout,
-                                       &resilience_);
+template <typename Finish>
+auto Runtime::dispatch(const std::string& label, usize bytes_touched,
+                       std::span<const TensorId> inputs, bool pattern_class,
+                       const Attempt& attempt, Finish&& finish,
+                       TensorId in_place) {
+  obs::TraceSpan span("op:" + label, "op", obs::Track::kOps);
+  const bool gpu = choose_gpu(bytes_touched, inputs);
+  for (TensorId id : inputs) {
+    if (id == 0) continue;
+    if (gpu) {
+      stage_on_device(id);
+    } else {
+      sync_to_host(id);
+    }
   }
-  const double spent_ms = stats_.total_ms();
-  if (spent_ms >= deadline_ms_) {
-    throw DeadlineError("script modeled deadline exceeded before op dispatch (" +
-                        std::to_string(spent_ms) + " of " +
-                        std::to_string(deadline_ms_) + " ms spent)");
-  }
-  // Clamp the per-dispatch retry budget to the deadline headroom so a fault
-  // storm cannot backoff past the deadline inside one op.
   RetryPolicy policy = retry_;
-  const double remaining_ms = deadline_ms_ - spent_ms;
-  policy.max_total_overhead_ms =
-      policy.max_total_overhead_ms > 0.0
-          ? std::min(policy.max_total_overhead_ms, remaining_ms)
-          : remaining_ms;
-  return registry_.execute_resilient(preferred, policy, attempt, inout,
-                                     &resilience_);
+  if (deadline_ms_ > 0.0) {
+    const double spent_ms = stats_.total_ms();
+    if (spent_ms >= deadline_ms_) {
+      throw DeadlineError(
+          "script modeled deadline exceeded before op dispatch (" +
+          std::to_string(spent_ms) + " of " + std::to_string(deadline_ms_) +
+          " ms spent)");
+    }
+    // A fault storm cannot back off past the deadline inside one op.
+    policy = retry_.clamped_to(deadline_ms_ - spent_ms);
+  }
+  kernels::KernelOutcome o = registry_.execute_resilient(
+      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu, policy,
+      attempt,
+      in_place != 0 ? std::span<real>(vec(in_place)) : std::span<real>{},
+      &resilience_);
+  book(o, label, pattern_class);
+  return finish(o, o.backend_used != kernels::Backend::kCpu);
 }
 
-void Runtime::book(const kernels::KernelOutcome& outcome, const char* op,
-                   bool pattern_class) {
+auto Runtime::emit_as(std::string name) {
+  return [this, name = std::move(name)](kernels::KernelOutcome& o,
+                                        bool on_gpu) {
+    return emit(std::move(o.value), on_gpu, name);
+  };
+}
+
+void Runtime::mark_written(TensorId id, bool on_gpu) {
+  if (on_gpu) {
+    // The host copy was updated functionally; the device is authoritative.
+    mm_.mark_device_dirty(id);
+  } else if (mm_.on_device(id)) {
+    mm_.mark_host_dirty(id);
+  }
+}
+
+void Runtime::book(const kernels::KernelOutcome& outcome,
+                   const std::string& op, bool pattern_class) {
   const bool on_gpu = outcome.backend_used != kernels::Backend::kCpu;
   // Fault-recovery overhead (wasted attempts + retry backoff) is carried
   // inside outcome.modeled_ms; book it separately so the success-path
@@ -249,7 +268,7 @@ void Runtime::book(const kernels::KernelOutcome& outcome, const char* op,
       m.gauge("runtime.resilience_overhead_ms").add(overhead);
     }
   }
-  record_trace(op, on_gpu, outcome.modeled_ms);
+  trace_.push_back({op, on_gpu, outcome.modeled_ms});
 }
 
 void Runtime::note_plan_prepare(double host_ms, bool cache_hit) {
@@ -282,242 +301,155 @@ TensorId Runtime::emit(std::vector<real> w, bool on_gpu, std::string name) {
   return out;
 }
 
+template <typename Matrix>
+TensorId Runtime::stream_pattern(real alpha, const Matrix& X,
+                                 std::span<const real> v,
+                                 std::span<const real> y, real beta,
+                                 std::span<const real> z) {
+  obs::TraceSpan span("op:pattern", "op", obs::Track::kOps);
+  mm_.note_streaming_fallback();
+  kernels::StreamingResult sr;
+  if constexpr (std::is_same_v<Matrix, la::CsrMatrix>) {
+    kernels::StreamingOptions sopts;
+    sopts.device_budget_bytes = mm_.capacity();
+    sr = kernels::streaming_pattern_sparse(dev_, alpha, X, v, y, beta, z,
+                                           sopts);
+  } else {
+    kernels::DenseStreamingOptions sopts;
+    sopts.device_budget_bytes = mm_.capacity();
+    sr = kernels::streaming_pattern_dense(dev_, alpha, X, v, y, beta, z,
+                                          sopts);
+  }
+  // Streaming launches bypass the registry dispatch bodies — consume the
+  // device's silent-corruption handshake here, and (when the verify
+  // policy samples this op) prove the merged result before booking it.
+  registry_.consume_streamed_corruption(sr.op.value);
+  if (registry_.verifier().arm()) {
+    try {
+      const auto charge = registry_.verifier().check_pattern(
+          sr.op.value, alpha, X, v, y, beta, z);
+      sr.kernel_ms += charge.modeled_ms;
+      sr.op.launches += charge.launches;
+      stats_.verify_launches += charge.launches;
+      stats_.verify_ms += charge.modeled_ms;
+      resilience_.verify_launches += charge.launches;
+      resilience_.verify_ms += charge.modeled_ms;
+    } catch (const SilentCorruptionError& e) {
+      // Tainted panel: the whole streamed pipeline is wasted. Recompute
+      // on the CPU — the terminal tier silent corruption cannot reach.
+      ++resilience_.faults_seen;
+      ++resilience_.sdc_detected;
+      ++resilience_.recoveries;
+      const double wasted = sr.kernel_ms + e.penalty_ms();
+      resilience_.wasted_ms += wasted;
+      stats_.resilience_overhead_ms += wasted;
+      stats_.transfer_ms += sr.transfer_ms;
+      if (obs::metrics().enabled()) {
+        obs::metrics().counter("dispatch.sdc_detected").add();
+      }
+      auto op = cpu().pattern(alpha, X, v, y, beta, z);
+      stats_.cpu_op_ms += op.modeled_ms;
+      ++stats_.cpu_ops;
+      trace_.push_back(
+          {"pattern (streamed, sdc recompute)", false, op.modeled_ms});
+      return add_vector(std::move(op.value), "pattern_out");
+    }
+  }
+  stats_.gpu_kernel_ms += sr.kernel_ms;
+  stats_.pattern_gpu_ms += sr.kernel_ms;
+  stats_.transfer_ms += sr.transfer_ms;
+  stats_.kernel_launches += sr.op.launches;
+  ++stats_.gpu_ops;
+  trace_.push_back({"pattern (streamed)", true, sr.pipeline_ms});
+  stats_.pattern_cpu_equiv_ms += cpu().pattern_ms(X, !v.empty(), !z.empty());
+  // The streamed result lives on the host (partials were merged there).
+  return add_vector(std::move(sr.op.value), "pattern_out");
+}
+
 TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
                              TensorId yid, real beta, TensorId zid) {
-  obs::TraceSpan span("op:pattern", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   std::span<const real> v =
       vid == 0 ? std::span<const real>{} : std::span<const real>(vec(vid));
   std::span<const real> z =
       zid == 0 ? std::span<const real>{} : std::span<const real>(vec(zid));
   const std::vector<real>& y = vec(yid);
-
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "pattern needs a matrix");
-
-  if (opts_.enable_gpu && mm_.needs_streaming(Xid)) {
-    // X does not fit on the device even alone: instead of failing (or
-    // forcing the CPU), stream it through the device panel by panel. The
-    // result is bit-equivalent to the in-core fused kernel.
-    mm_.note_streaming_fallback();
-    kernels::StreamingResult sr;
-    if (Xs != nullptr) {
-      kernels::StreamingOptions sopts;
-      sopts.device_budget_bytes = mm_.capacity();
-      sr = kernels::streaming_pattern_sparse(dev_, alpha, *Xs, v, y, beta, z,
-                                             sopts);
-    } else {
-      kernels::DenseStreamingOptions sopts;
-      sopts.device_budget_bytes = mm_.capacity();
-      sr = kernels::streaming_pattern_dense(dev_, alpha, *Xd, v, y, beta, z,
-                                            sopts);
+  return with_matrix(Xid, "pattern", [&](const auto& X) {
+    if (opts_.enable_gpu && mm_.needs_streaming(Xid)) {
+      // X does not fit on the device even alone: instead of failing (or
+      // forcing the CPU), stream it through the device panel by panel. The
+      // result is bit-equivalent to the in-core fused kernel.
+      return stream_pattern(alpha, X, v, y, beta, z);
     }
-    // Streaming launches bypass the registry dispatch bodies — consume the
-    // device's silent-corruption handshake here, and (when the verify
-    // policy samples this op) prove the merged result before booking it.
-    registry_.consume_streamed_corruption(sr.op.value);
-    if (registry_.verifier().arm()) {
-      try {
-        const auto charge =
-            Xs != nullptr
-                ? registry_.verifier().check_pattern(sr.op.value, alpha, *Xs,
-                                                     v, y, beta, z)
-                : registry_.verifier().check_pattern(sr.op.value, alpha, *Xd,
-                                                     v, y, beta, z);
-        sr.kernel_ms += charge.modeled_ms;
-        sr.op.launches += charge.launches;
-        stats_.verify_launches += charge.launches;
-        stats_.verify_ms += charge.modeled_ms;
-        resilience_.verify_launches += charge.launches;
-        resilience_.verify_ms += charge.modeled_ms;
-      } catch (const SilentCorruptionError& e) {
-        // Tainted panel: the whole streamed pipeline is wasted. Recompute
-        // on the CPU — the terminal tier silent corruption cannot reach.
-        ++resilience_.faults_seen;
-        ++resilience_.sdc_detected;
-        ++resilience_.recoveries;
-        const double wasted = sr.kernel_ms + e.penalty_ms();
-        resilience_.wasted_ms += wasted;
-        stats_.resilience_overhead_ms += wasted;
-        stats_.transfer_ms += sr.transfer_ms;
-        if (obs::metrics().enabled()) {
-          obs::metrics().counter("dispatch.sdc_detected").add();
-        }
-        auto op = Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z)
-                                : cpu().pattern(alpha, *Xd, v, y, beta, z);
-        stats_.cpu_op_ms += op.modeled_ms;
-        ++stats_.cpu_ops;
-        record_trace("pattern (streamed, sdc recompute)", false,
-                     op.modeled_ms);
-        return add_vector(std::move(op.value), "pattern_out");
-      }
-    }
-    stats_.gpu_kernel_ms += sr.kernel_ms;
-    stats_.pattern_gpu_ms += sr.kernel_ms;
-    stats_.transfer_ms += sr.transfer_ms;
-    stats_.kernel_launches += sr.op.launches;
-    ++stats_.gpu_ops;
-    record_trace("pattern (streamed)", true, sr.pipeline_ms);
-    stats_.pattern_cpu_equiv_ms +=
-        Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z).modeled_ms
-                      : cpu().pattern(alpha, *Xd, v, y, beta, z).modeled_ms;
-    // The streamed result lives on the host (partials were merged there).
-    return add_vector(std::move(sr.op.value), "pattern_out");
-  }
-
-  const bool gpu = choose_gpu(2 * xbytes, {Xid, vid, yid, zid});
-  if (gpu) {
-    stage_on_device(Xid);
-    if (vid != 0) stage_on_device(vid);
-    stage_on_device(yid);
-    if (zid != 0) stage_on_device(zid);
-  } else {
-    for (TensorId id : {Xid, vid, yid, zid}) {
-      if (id != 0) sync_to_host(id);
-    }
-  }
-
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr
-                   ? registry_.pattern(b, alpha, *Xs, v, y, beta, z)
-                   : registry_.pattern(b, alpha, *Xd, v, y, beta, z);
-      });
-  book(o, "pattern", true);
-  const bool on_gpu = o.backend_used != kernels::Backend::kCpu;
-  if (on_gpu) {
-    // What the same op would have cost on the CPU (Table 6 row 2).
-    stats_.pattern_cpu_equiv_ms +=
-        Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z).modeled_ms
-                      : cpu().pattern(alpha, *Xd, v, y, beta, z).modeled_ms;
-  }
-  return emit(std::move(o.value), on_gpu, "pattern_out");
+    return dispatch(
+        "pattern", 2 * X.bytes(), std::array{Xid, vid, yid, zid}, true,
+        [&](kernels::Backend b) {
+          return registry_.pattern(b, alpha, X, v, y, beta, z);
+        },
+        [&](kernels::KernelOutcome& o, bool on_gpu) {
+          // What the same op would have cost on the CPU (Table 6 row 2).
+          if (on_gpu) {
+            stats_.pattern_cpu_equiv_ms +=
+                cpu().pattern_ms(X, !v.empty(), !z.empty());
+          }
+          return emit(std::move(o.value), on_gpu, "pattern_out");
+        });
+  });
 }
 
 TensorId Runtime::op_transposed_product(TensorId Xid, TensorId yid,
                                         real alpha) {
-  obs::TraceSpan span("op:transposed_product", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(xbytes, {Xid, yid});
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr,
-                "transposed product needs a matrix");
-
-  if (gpu) {
-    stage_on_device(Xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(Xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr
-                   ? registry_.transposed_product(b, *Xs, y, alpha)
-                   : registry_.transposed_product(b, *Xd, y, alpha);
-      });
-  book(o, "transposed_product", true);
-  const bool on_gpu = o.backend_used != kernels::Backend::kCpu;
-  if (on_gpu) {
-    stats_.pattern_cpu_equiv_ms += Xs != nullptr
-                                       ? cpu().spmv_t(*Xs, y).modeled_ms
-                                       : cpu().gemv_t(*Xd, y).modeled_ms;
-  }
-  return emit(std::move(o.value), on_gpu, "xty_out");
+  return with_matrix(Xid, "transposed product", [&](const auto& X) {
+    return dispatch(
+        "transposed_product", X.bytes(), std::array{Xid, yid}, true,
+        [&](kernels::Backend b) {
+          return registry_.transposed_product(b, X, y, alpha);
+        },
+        [&](kernels::KernelOutcome& o, bool on_gpu) {
+          if (on_gpu) {
+            stats_.pattern_cpu_equiv_ms += cpu().transposed_product_ms(X);
+          }
+          return emit(std::move(o.value), on_gpu, "xty_out");
+        });
+  });
 }
 
 TensorId Runtime::op_product(TensorId Xid, TensorId yid) {
-  obs::TraceSpan span("op:product", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(xbytes, {Xid, yid});
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "product needs a matrix");
-
-  if (gpu) {
-    stage_on_device(Xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(Xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.product(b, *Xs, y)
-                             : registry_.product(b, *Xd, y);
-      });
-  book(o, "product", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "product_out");
+  return with_matrix(Xid, "product", [&](const auto& X) {
+    return dispatch(
+        "product", X.bytes(), std::array{Xid, yid}, false,
+        [&](kernels::Backend b) { return registry_.product(b, X, y); },
+        emit_as("product_out"));
+  });
 }
 
 void Runtime::op_axpy(real alpha, TensorId xid, TensorId yid) {
-  obs::TraceSpan span("op:axpy", "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
   std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(3 * x.size() * sizeof(real), {xid, yid});
-  if (gpu) {
-    stage_on_device(xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.axpy(b, alpha, x, y); }, y);
-  book(o, "axpy", false);
-  if (o.backend_used != kernels::Backend::kCpu) {
-    mm_.mark_device_dirty(yid);
-    // Host copy already updated functionally; device is authoritative.
-  } else if (mm_.on_device(yid)) {
-    mm_.mark_host_dirty(yid);
-  }
+  dispatch(
+      "axpy", 3 * x.size() * sizeof(real), std::array{xid, yid}, false,
+      [&](kernels::Backend b) { return registry_.axpy(b, alpha, x, y); },
+      [&](kernels::KernelOutcome&, bool on_gpu) { mark_written(yid, on_gpu); },
+      yid);
 }
 
 TensorId Runtime::op_ewise_mul(TensorId xid, TensorId yid) {
-  obs::TraceSpan span("op:ewise_mul", "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
   const std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(3 * x.size() * sizeof(real), {xid, yid});
-  if (gpu) {
-    stage_on_device(xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.ewise_mul(b, x, y); });
-  book(o, "ewise_mul", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "ewise_out");
+  return dispatch(
+      "ewise_mul", 3 * x.size() * sizeof(real), std::array{xid, yid}, false,
+      [&](kernels::Backend b) { return registry_.ewise_mul(b, x, y); },
+      emit_as("ewise_out"));
 }
 
 TensorId Runtime::op_map(TensorId xid, real (*f)(real),
                          const std::string& name) {
-  obs::TraceSpan span("op:" + name, "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
-  const bool gpu = choose_gpu(2 * x.size() * sizeof(real), {xid});
-  if (gpu) {
-    stage_on_device(xid);
-  } else {
-    sync_to_host(xid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.map(b, x, f, name); });
-  book(o, name.c_str(), false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              name + "_out");
+  return dispatch(
+      name, 2 * x.size() * sizeof(real), std::array{xid}, false,
+      [&](kernels::Backend b) { return registry_.map(b, x, f, name); },
+      emit_as(name + "_out"));
 }
 
 TensorId Runtime::op_fused_ewise(const kernels::EwiseProgram& program,
@@ -525,7 +457,6 @@ TensorId Runtime::op_fused_ewise(const kernels::EwiseProgram& program,
                                  const std::string& name) {
   FUSEDML_CHECK(inputs.size() == static_cast<usize>(program.num_inputs),
                 "op_fused_ewise: input-count mismatch");
-  obs::TraceSpan span("op:" + name, "op", obs::Track::kOps);
   std::vector<std::span<const real>> views;
   views.reserve(inputs.size());
   usize n = 0;
@@ -534,102 +465,48 @@ TensorId Runtime::op_fused_ewise(const kernels::EwiseProgram& program,
     n = x.size();
     views.emplace_back(x);
   }
-  const usize bytes = (inputs.size() + 1) * n * sizeof(real);
-  const bool gpu = choose_gpu_span(bytes, inputs);
-  for (TensorId id : inputs) {
-    if (gpu) {
-      stage_on_device(id);
-    } else {
-      sync_to_host(id);
-    }
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+  return dispatch(
+      name, (inputs.size() + 1) * n * sizeof(real), inputs, false,
       [&](kernels::Backend b) {
         return registry_.fused_ewise(b, program, views);
-      });
-  book(o, name.c_str(), false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              name + "_out");
+      },
+      emit_as(name + "_out"));
 }
 
 TensorId Runtime::op_outer_map(TensorId uid, TensorId vid, real (*f)(real),
                                const std::string& name) {
-  obs::TraceSpan span("op:outer_map", "op", obs::Track::kOps);
   const std::vector<real>& u = vec(uid);
   const std::vector<real>& v = vec(vid);
-  const usize out_bytes = u.size() * v.size() * sizeof(real);
-  const bool gpu = choose_gpu(2 * out_bytes, {uid, vid});
-  if (gpu) {
-    stage_on_device(uid);
-    stage_on_device(vid);
-  } else {
-    sync_to_host(uid);
-    sync_to_host(vid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.outer_map(b, u, v, f, name); });
-  book(o, "outer_map", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "outer_map_out");
+  return dispatch(
+      "outer_map", 2 * u.size() * v.size() * sizeof(real),
+      std::array{uid, vid}, false,
+      [&](kernels::Backend b) { return registry_.outer_map(b, u, v, f, name); },
+      emit_as("outer_map_out"));
 }
 
 TensorId Runtime::op_sparse_mask(TensorId Xid, TensorId omid) {
-  obs::TraceSpan span("op:sparse_mask", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& om = vec(omid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "sparse_mask needs a matrix");
-  const bool gpu = choose_gpu(xbytes + om.size() * sizeof(real), {Xid, omid});
-  if (gpu) {
-    stage_on_device(Xid);
-    stage_on_device(omid);
-  } else {
-    sync_to_host(Xid);
-    sync_to_host(omid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.sparse_mask(b, *Xs, om)
-                             : registry_.sparse_mask(b, *Xd, om);
-      });
-  book(o, "sparse_mask", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "sparse_mask_out");
+  return with_matrix(Xid, "sparse_mask", [&](const auto& X) {
+    return dispatch(
+        "sparse_mask", X.bytes() + om.size() * sizeof(real),
+        std::array{Xid, omid}, false,
+        [&](kernels::Backend b) { return registry_.sparse_mask(b, X, om); },
+        emit_as("sparse_mask_out"));
+  });
 }
 
 TensorId Runtime::op_masked_product(TensorId Xid, TensorId valsid,
                                     TensorId zid) {
-  obs::TraceSpan span("op:masked_product", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& vals = vec(valsid);
   const std::vector<real>& z = vec(zid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr,
-                "masked product needs a matrix");
-  const bool gpu = choose_gpu(xbytes, {Xid, valsid, zid});
-  if (gpu) {
-    stage_on_device(Xid);
-    stage_on_device(valsid);
-    stage_on_device(zid);
-  } else {
-    sync_to_host(Xid);
-    sync_to_host(valsid);
-    sync_to_host(zid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.masked_product(b, *Xs, vals, z)
-                             : registry_.masked_product(b, *Xd, vals, z);
-      });
-  book(o, "masked_product", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "masked_product_out");
+  return with_matrix(Xid, "masked product", [&](const auto& X) {
+    return dispatch(
+        "masked_product", X.bytes(), std::array{Xid, valsid, zid}, false,
+        [&](kernels::Backend b) {
+          return registry_.masked_product(b, X, vals, z);
+        },
+        emit_as("masked_product_out"));
+  });
 }
 
 TensorId Runtime::op_fused_row(TensorId Xid, TensorId yid,
@@ -637,122 +514,64 @@ TensorId Runtime::op_fused_row(TensorId Xid, TensorId yid,
                                std::span<const TensorId> ext) {
   FUSEDML_CHECK(ext.size() + 1 == static_cast<usize>(program.num_inputs),
                 "op_fused_row: external input count mismatch");
-  obs::TraceSpan span("op:fused_row", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& y = vec(yid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "fused row needs a matrix");
   std::vector<std::span<const real>> views;
-  std::vector<TensorId> all_inputs = {Xid, yid};
+  std::vector<TensorId> inputs = {Xid, yid};
   views.reserve(ext.size());
   for (TensorId id : ext) {
     views.emplace_back(vec(id));
-    all_inputs.push_back(id);
+    inputs.push_back(id);
   }
-  const bool gpu = choose_gpu_span(xbytes, all_inputs);
-  for (TensorId id : all_inputs) {
-    if (gpu) {
-      stage_on_device(id);
-    } else {
-      sync_to_host(id);
-    }
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.fused_row(b, *Xs, y, program, views)
-                             : registry_.fused_row(b, *Xd, y, program, views);
-      });
-  book(o, "fused_row", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "fused_row_out");
+  return with_matrix(Xid, "fused row", [&](const auto& X) {
+    return dispatch(
+        "fused_row", X.bytes(), inputs, false,
+        [&](kernels::Backend b) {
+          return registry_.fused_row(b, X, y, program, views);
+        },
+        emit_as("fused_row_out"));
+  });
 }
 
 TensorId Runtime::op_fused_sddmm(TensorId Xid, TensorId uid, TensorId vid,
                                  TensorId zid, real (*f)(real),
                                  const std::string& name) {
-  obs::TraceSpan span("op:fused_sddmm", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& u = vec(uid);
   const std::vector<real>& v = vec(vid);
   const std::vector<real>& z = vec(zid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "fused sddmm needs a matrix");
-  const bool gpu = choose_gpu(xbytes, {Xid, uid, vid, zid});
-  for (TensorId id : {Xid, uid, vid, zid}) {
-    if (gpu) {
-      stage_on_device(id);
-    } else {
-      sync_to_host(id);
-    }
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr
-                   ? registry_.fused_sddmm(b, *Xs, u, v, z, f, name)
-                   : registry_.fused_sddmm(b, *Xd, u, v, z, f, name);
-      });
-  book(o, "fused_sddmm", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "fused_sddmm_out");
+  return with_matrix(Xid, "fused sddmm", [&](const auto& X) {
+    return dispatch(
+        "fused_sddmm", X.bytes(), std::array{Xid, uid, vid, zid}, false,
+        [&](kernels::Backend b) {
+          return registry_.fused_sddmm(b, X, u, v, z, f, name);
+        },
+        emit_as("fused_sddmm_out"));
+  });
 }
 
 real Runtime::op_dot(TensorId xid, TensorId yid) {
-  obs::TraceSpan span("op:dot", "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
   const std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(2 * x.size() * sizeof(real), {xid, yid});
-  if (gpu) {
-    stage_on_device(xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.dot(b, x, y); });
-  book(o, "dot", false);
-  return o.value[0];
+  return dispatch(
+      "dot", 2 * x.size() * sizeof(real), std::array{xid, yid}, false,
+      [&](kernels::Backend b) { return registry_.dot(b, x, y); },
+      [](kernels::KernelOutcome& o, bool) { return o.value[0]; });
 }
 
 real Runtime::op_nrm2(TensorId xid) {
-  obs::TraceSpan span("op:nrm2", "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
-  const bool gpu = choose_gpu(x.size() * sizeof(real), {xid});
-  if (gpu) {
-    stage_on_device(xid);
-  } else {
-    sync_to_host(xid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.nrm2(b, x); });
-  book(o, "nrm2", false);
-  return o.value[0];
+  return dispatch(
+      "nrm2", x.size() * sizeof(real), std::array{xid}, false,
+      [&](kernels::Backend b) { return registry_.nrm2(b, x); },
+      [](kernels::KernelOutcome& o, bool) { return o.value[0]; });
 }
 
 void Runtime::op_scal(real alpha, TensorId xid) {
-  obs::TraceSpan span("op:scal", "op", obs::Track::kOps);
   std::vector<real>& x = vec(xid);
-  const bool gpu = choose_gpu(2 * x.size() * sizeof(real), {xid});
-  if (gpu) {
-    stage_on_device(xid);
-  } else {
-    sync_to_host(xid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.scal(b, alpha, x); }, x);
-  book(o, "scal", false);
-  if (o.backend_used != kernels::Backend::kCpu) {
-    mm_.mark_device_dirty(xid);
-  } else if (mm_.on_device(xid)) {
-    mm_.mark_host_dirty(xid);
-  }
+  dispatch(
+      "scal", 2 * x.size() * sizeof(real), std::array{xid}, false,
+      [&](kernels::Backend b) { return registry_.scal(b, alpha, x); },
+      [&](kernels::KernelOutcome&, bool on_gpu) { mark_written(xid, on_gpu); },
+      xid);
 }
 
 std::span<const real> Runtime::read_vector(TensorId id) {

@@ -238,7 +238,6 @@ class Runtime {
   /// burning backoffs mid-op instead of completing six retries per tier.
   /// The serving layer sets this to a request's remaining deadline.
   void set_modeled_deadline(double deadline_ms) { deadline_ms_ = deadline_ms; }
-  double modeled_deadline() const { return deadline_ms_; }
 
   kernels::OpRegistry& registry() { return registry_; }
   vgpu::Device& device() { return dev_; }
@@ -293,6 +292,7 @@ class Runtime {
  private:
   using Value =
       std::variant<la::CsrMatrix, la::DenseMatrix, std::vector<real>>;
+  using Attempt = std::function<kernels::KernelOutcome(kernels::Backend)>;
 
   vgpu::Device& dev_;
   RuntimeOptions opts_;
@@ -311,46 +311,65 @@ class Runtime {
   std::string plan_explain_;
   obs::PlanAudit plan_audit_;
 
-  void record_trace(const char* op, bool on_gpu, double ms) {
-    trace_.push_back({op, on_gpu, ms});
-  }
-
   const kernels::CpuBackend& cpu() const { return registry_.cpu(); }
 
   TensorId store(Value v, usize bytes, std::string name);
   Value& value(TensorId id);
   std::vector<real>& vec(TensorId id);
-  const la::CsrMatrix* sparse(TensorId id);
-  const la::DenseMatrix* dense(TensorId id);
   usize tensor_bytes(TensorId id);
 
+  /// Returns f(X) for the CSR or dense matrix X behind `id` — the one place
+  /// an op's storage is told apart. `label` names the op if `id` is a
+  /// vector.
+  template <typename F>
+  auto with_matrix(TensorId id, const char* label, F&& f);
+
+  /// The placement-and-dispatch path every op_* takes:
+  ///   1. opens the "op:<label>" span;
+  ///   2. places the op with one choose_gpu() over `inputs`;
+  ///   3. stages each non-zero input on the device (GPU placement) or syncs
+  ///      it to the host (CPU placement), in the given order;
+  ///   4. dispatches `attempt` through the registry under the RetryPolicy,
+  ///      clamped to the modeled deadline's headroom, starting on kFused or
+  ///      kCpu; `in_place` (0 = none) is the input the op overwrites, which
+  ///      a failed attempt rolls back;
+  ///   5. books the outcome by where it actually ran (a fault-degraded run
+  ///      may land on another backend);
+  ///   6. returns finish(outcome, on_gpu) — the op's own ending (emit, dirty
+  ///      marking, or a scalar) — still inside the span.
+  template <typename Finish>
+  auto dispatch(const std::string& label, usize bytes_touched,
+                std::span<const TensorId> inputs, bool pattern_class,
+                const Attempt& attempt, Finish&& finish,
+                TensorId in_place = 0);
+  /// dispatch() ending of ops that produce a new vector: emit() it as `name`.
+  auto emit_as(std::string name);
+  /// dispatch() ending of in-place ops: the copy that was written becomes
+  /// the authoritative one.
+  void mark_written(TensorId id, bool on_gpu);
+
   /// Moves a tensor to the device, paying JNI on first contact; charges
-  /// into stats_. Returns false if the GPU is disabled.
-  bool stage_on_device(TensorId id);
+  /// into stats_.
+  void stage_on_device(TensorId id);
   void sync_to_host(TensorId id);
 
-  /// Registry dispatch under this runtime's RetryPolicy. `preferred` is the
-  /// scheduler's placement (kFused when the GPU won, kCpu otherwise); a
-  /// fault-degraded run may come back on a different backend — callers book
-  /// by outcome.backend_used, not by the request.
-  kernels::KernelOutcome run_resilient(
-      kernels::Backend preferred,
-      const std::function<kernels::KernelOutcome(kernels::Backend)>& attempt,
-      std::span<real> inout = {});
-
   /// Books one outcome into stats_ + trace_ by where it actually ran.
-  void book(const kernels::KernelOutcome& outcome, const char* op,
+  void book(const kernels::KernelOutcome& outcome, const std::string& op,
             bool pattern_class);
 
   /// Registers `w` as a new tensor, on-device when the producing op ran
   /// there (born in native/device space).
   TensorId emit(std::vector<real> w, bool on_gpu, std::string name);
 
-  /// Scheduler estimates (GB-scale streaming heuristics).
-  double estimate_gpu_ms(usize bytes_touched, TensorId matrix_or_zero);
-  double estimate_cpu_ms(usize bytes_touched);
-  bool choose_gpu(usize bytes_touched, std::initializer_list<TensorId> inputs);
-  bool choose_gpu_span(usize bytes_touched, std::span<const TensorId> inputs);
+  /// The scheduler: GB-scale streaming estimates for both venues plus the
+  /// transfers the placement implies (uploads amortized over reuse).
+  bool choose_gpu(usize bytes_touched, std::span<const TensorId> inputs);
+
+  /// op_pattern's out-of-core route for an X larger than the device.
+  template <typename Matrix>
+  TensorId stream_pattern(real alpha, const Matrix& X, std::span<const real> v,
+                          std::span<const real> y, real beta,
+                          std::span<const real> z);
 };
 
 }  // namespace sysml
