@@ -399,7 +399,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
 TensorId Runtime::op_transposed_product(TensorId Xid, TensorId yid,
                                         real alpha) {
   const std::vector<real>& y = vec(yid);
-  return with_matrix(Xid, "transposed product", [&](const auto& X) {
+  return with_matrix(Xid, "transposed_product", [&](const auto& X) {
     return dispatch(
         "transposed_product", X.bytes(), std::array{Xid, yid}, true,
         [&](kernels::Backend b) {
@@ -499,7 +499,7 @@ TensorId Runtime::op_masked_product(TensorId Xid, TensorId valsid,
                                     TensorId zid) {
   const std::vector<real>& vals = vec(valsid);
   const std::vector<real>& z = vec(zid);
-  return with_matrix(Xid, "masked product", [&](const auto& X) {
+  return with_matrix(Xid, "masked_product", [&](const auto& X) {
     return dispatch(
         "masked_product", X.bytes(), std::array{Xid, valsid, zid}, false,
         [&](kernels::Backend b) {
@@ -522,7 +522,7 @@ TensorId Runtime::op_fused_row(TensorId Xid, TensorId yid,
     views.emplace_back(vec(id));
     inputs.push_back(id);
   }
-  return with_matrix(Xid, "fused row", [&](const auto& X) {
+  return with_matrix(Xid, "fused_row", [&](const auto& X) {
     return dispatch(
         "fused_row", X.bytes(), inputs, false,
         [&](kernels::Backend b) {
@@ -538,7 +538,7 @@ TensorId Runtime::op_fused_sddmm(TensorId Xid, TensorId uid, TensorId vid,
   const std::vector<real>& u = vec(uid);
   const std::vector<real>& v = vec(vid);
   const std::vector<real>& z = vec(zid);
-  return with_matrix(Xid, "fused sddmm", [&](const auto& X) {
+  return with_matrix(Xid, "fused_sddmm", [&](const auto& X) {
     return dispatch(
         "fused_sddmm", X.bytes(), std::array{Xid, uid, vid, zid}, false,
         [&](kernels::Backend b) {
