@@ -113,6 +113,7 @@ OpResult dev_masked_spmv(vgpu::Device& dev, const la::CsrMatrix& X,
   LaunchConfig cfg = detail::sparse_config(dev, X.rows(), vs);
   cfg.label = "masked_spmv";
   const bool z_resident = tex_resident(dev.spec(), z.size() * sizeof(real));
+  const auto traffic = detail::warp_traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
@@ -122,9 +123,11 @@ OpResult dev_masked_spmv(vgpu::Device& dev, const la::CsrMatrix& X,
     }
     detail::for_each_sparse_warp(ctx, cfg, X.rows(), [&](long long first_row,
                                                         int rows_here) {
-      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
-                               MemPath::kDram, /*with_y=*/!z_resident,
+      traffic->charge_pass(ctx.mem(), X, first_row, rows_here, MemPath::kDram);
+      if (!z_resident) {
+        traffic->charge_gather(ctx.mem(), X, first_row, rows_here,
                                MemPath::kTexture);
+      }
       for (int v = 0; v < rows_here; ++v) {
         const auto r = static_cast<index_t>(first_row + v);
         out.value[static_cast<usize>(r)] =
@@ -190,6 +193,7 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::CsrMatrix& X,
   cfg.label = "fused_row";
   const bool y_resident = tex_resident(dev.spec(), y.size() * sizeof(real));
   const std::uint64_t epilogue_flops = program.flops_per_element();
+  const auto traffic = detail::warp_traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
@@ -201,9 +205,11 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::CsrMatrix& X,
                             program.steps.size());
     detail::for_each_sparse_warp(ctx, cfg, X.rows(), [&](long long first_row,
                                                         int rows_here) {
-      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
-                               MemPath::kDram, /*with_y=*/!y_resident,
+      traffic->charge_pass(ctx.mem(), X, first_row, rows_here, MemPath::kDram);
+      if (!y_resident) {
+        traffic->charge_gather(ctx.mem(), X, first_row, rows_here,
                                MemPath::kTexture);
+      }
       // External epilogue inputs: one coalesced load per stream.
       for (usize e = 0; e < ext.size(); ++e) {
         ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
@@ -293,6 +299,7 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
   // v and z are both gathered at col_idx; they share the read-only cache.
   const bool vz_resident =
       tex_resident(dev.spec(), (v.size() + z.size()) * sizeof(real));
+  const auto traffic = detail::warp_traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
@@ -306,15 +313,13 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
       // u for the warp's rows: one coalesced load.
       ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
                                 rows_here, sizeof(real));
-      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
-                               MemPath::kDram, /*with_y=*/!vz_resident,
-                               MemPath::kTexture);
+      traffic->charge_pass(ctx.mem(), X, first_row, rows_here, MemPath::kDram);
       if (!vz_resident) {
-        // Second gather stream (v AND z are fetched per nonzero).
-        const auto t =
-            detail::warp_rows_y_gather(X, first_row, rows_here, vs);
-        ctx.mem().load_precomputed(t.transactions, t.bytes,
-                                   MemPath::kTexture);
+        // Two gather streams: v AND z are fetched per nonzero.
+        traffic->charge_gather(ctx.mem(), X, first_row, rows_here,
+                               MemPath::kTexture);  // v
+        traffic->charge_gather(ctx.mem(), X, first_row, rows_here,
+                               MemPath::kTexture);  // z
       }
       for (int vrow = 0; vrow < rows_here; ++vrow) {
         const auto r = static_cast<index_t>(first_row + vrow);

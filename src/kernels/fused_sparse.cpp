@@ -39,6 +39,10 @@ tuner::SparseParams resolve_params(const vgpu::Device& dev, index_t m,
   if (dirty) {
     const int vs = params.config.vector_size;
     const int bs = params.config.block_size;
+    // Each warp must hold whole row groups of 32/VS rows, or two blocks
+    // would sweep the same rows.
+    FUSEDML_CHECK(bs % 32 == 0,
+                  "block size must be a multiple of the warp size");
     FUSEDML_CHECK(bs % vs == 0, "block size must be a multiple of VS");
     params.shared_aggregation =
         params.shared_aggregation &&
@@ -150,6 +154,7 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
   const auto sd_base =
       static_cast<usize>(params.config.num_vectors_per_block());
   // Single pass over X here (p is given), so every load is a cold load.
+  const auto traffic = detail::warp_traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.cols()), real{0});
@@ -161,9 +166,7 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
                                                         int rows_here) {
       ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
                                 rows_here, sizeof(real));  // p[row]
-      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
-                               MemPath::kDram, /*with_y=*/false,
-                               MemPath::kDram);
+      traffic->charge_pass(ctx.mem(), X, first_row, rows_here, MemPath::kDram);
       for (int v = 0; v < rows_here; ++v) {
         const auto r = static_cast<index_t>(first_row + v);
         scatter_row(ctx, X, r, vs, p[static_cast<usize>(r)], alpha, shared,
@@ -199,6 +202,7 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
   const MemPath pass2 =
       second_pass_path(dev, params, mu, opts.cache_second_pass);
   const bool has_beta = !z.empty() && beta != real{0};
+  const auto traffic = detail::warp_traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.cols()), real{0});
@@ -221,11 +225,12 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
       }
       // First pass over the warp's rows: cold loads + y gathers (skipped
       // when y is texture-resident — only the fill was charged).
-      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
-                               MemPath::kDram, /*with_y=*/!y_resident, y_path);
+      traffic->charge_pass(ctx.mem(), X, first_row, rows_here, MemPath::kDram);
+      if (!y_resident) {
+        traffic->charge_gather(ctx.mem(), X, first_row, rows_here, y_path);
+      }
       // Second pass: same data while still cache-resident.
-      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs, pass2,
-                               /*with_y=*/false, y_path);
+      traffic->charge_pass(ctx.mem(), X, first_row, rows_here, pass2);
       for (int vv = 0; vv < rows_here; ++vv) {
         const auto r = static_cast<index_t>(first_row + vv);
         // First pass: p[r] = X[r,:] * y (Alg. 2 L10-11), reduced in

@@ -9,7 +9,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "kernels/blas1.h"
+#include "kernels/fused_dense.h"
 #include "kernels/fused_row.h"
+#include "kernels/fused_sparse.h"
 #include "kernels/gemv.h"
 #include "kernels/spmv.h"
 

@@ -28,8 +28,6 @@
 #include "kernels/abft.h"
 #include "kernels/cpu_backend.h"
 #include "kernels/ewise_program.h"
-#include "kernels/fused_dense.h"
-#include "kernels/fused_sparse.h"
 #include "kernels/kernel_cache.h"
 #include "la/csr_matrix.h"
 #include "la/dense_matrix.h"

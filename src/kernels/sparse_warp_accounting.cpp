@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <limits>
 
+#include "common/error.h"
 #include "vgpu/coalescing.h"
 
 namespace fusedml::kernels::detail {
@@ -43,6 +46,26 @@ PassTraffic sweep(const la::CsrMatrix& X, long long first_row, int rows_here,
   }
   return out;
 }
+
+int rows_per_warp_at(int vs) {
+  FUSEDML_CHECK(vs >= 1 && vs <= 32 && (vs & (vs - 1)) == 0,
+                "sparse vector size must be a power of two up to 32");
+  return 32 / vs;
+}
+
+std::uint32_t narrow(std::uint64_t transactions) {
+  FUSEDML_CHECK(transactions <= std::numeric_limits<std::uint32_t>::max(),
+                "warp group transaction count overflows the traffic table");
+  return static_cast<std::uint32_t>(transactions);
+}
+
+std::uint64_t nnz_of(const la::CsrMatrix& X, long long first_row,
+                     int rows_here) {
+  const auto off = X.row_off();
+  return static_cast<std::uint64_t>(
+      off[static_cast<usize>(first_row + rows_here)] -
+      off[static_cast<usize>(first_row)]);
+}
 }  // namespace
 
 PassTraffic warp_rows_pass(const la::CsrMatrix& X, long long first_row,
@@ -61,20 +84,48 @@ PassTraffic warp_rows_y_gather(const la::CsrMatrix& X, long long first_row,
   });
 }
 
-void charge_warp_pass(vgpu::MemTracker& mem, const la::CsrMatrix& X,
-                      long long first_row, int rows_here, int vs,
-                      vgpu::MemPath data_path, bool with_y,
-                      vgpu::MemPath y_path) {
-  const auto values = warp_rows_pass(X, first_row, rows_here, vs,
-                                     sizeof(real));
-  mem.load_precomputed(values.transactions, values.bytes, data_path);
-  const auto cols = warp_rows_pass(X, first_row, rows_here, vs,
-                                   sizeof(index_t));
-  mem.load_precomputed(cols.transactions, cols.bytes, data_path);
-  if (with_y) {
-    const auto gather = warp_rows_y_gather(X, first_row, rows_here, vs);
-    mem.load_precomputed(gather.transactions, gather.bytes, y_path);
+WarpTraffic::WarpTraffic(const la::CsrMatrix& X, int vs)
+    : rows_per_warp_(rows_per_warp_at(vs)) {
+  const long long rows = X.rows();
+  groups_.reserve(static_cast<usize>((rows + rows_per_warp_ - 1) /
+                                     rows_per_warp_));
+  for (long long first = 0; first < rows; first += rows_per_warp_) {
+    const auto here =
+        static_cast<int>(std::min<long long>(rows_per_warp_, rows - first));
+    groups_.push_back(
+        {narrow(warp_rows_pass(X, first, here, vs, sizeof(real)).transactions),
+         narrow(warp_rows_pass(X, first, here, vs, sizeof(index_t))
+                    .transactions),
+         narrow(warp_rows_y_gather(X, first, here, vs).transactions)});
   }
+}
+
+const WarpGroupTraffic& WarpTraffic::group_of(long long first_row) const {
+  return groups_[static_cast<usize>(first_row / rows_per_warp_)];
+}
+
+void WarpTraffic::charge_pass(vgpu::MemTracker& mem, const la::CsrMatrix& X,
+                              long long first_row, int rows_here,
+                              vgpu::MemPath path) const {
+  const auto& g = group_of(first_row);
+  const std::uint64_t nnz = nnz_of(X, first_row, rows_here);
+  mem.load_precomputed(g.values, nnz * sizeof(real), path);
+  mem.load_precomputed(g.cols, nnz * sizeof(index_t), path);
+}
+
+void WarpTraffic::charge_gather(vgpu::MemTracker& mem, const la::CsrMatrix& X,
+                                long long first_row, int rows_here,
+                                vgpu::MemPath path) const {
+  mem.load_precomputed(group_of(first_row).gather,
+                       nnz_of(X, first_row, rows_here) * sizeof(real), path);
+}
+
+std::shared_ptr<const WarpTraffic> warp_traffic(const la::CsrMatrix& X,
+                                                int vs) {
+  rows_per_warp_at(vs);  // rejects a VS that would alias another's slot
+  return X.structure_memo<WarpTraffic>(
+      static_cast<usize>(std::countr_zero(static_cast<unsigned>(vs))),
+      [&] { return WarpTraffic(X, vs); });
 }
 
 }  // namespace fusedml::kernels::detail

@@ -42,6 +42,7 @@ OpResult spmv_csr_vector(vgpu::Device& dev, const la::CsrMatrix& X,
   const bool y_resident =
       opts.texture_y && tex_resident(dev.spec(), y.size() * sizeof(real));
   const MemPath y_path = opts.texture_y ? MemPath::kTexture : MemPath::kDram;
+  const auto traffic = detail::warp_traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
@@ -51,8 +52,10 @@ OpResult spmv_csr_vector(vgpu::Device& dev, const la::CsrMatrix& X,
     }
     detail::for_each_sparse_warp(ctx, cfg, X.rows(), [&](long long first_row,
                                                         int rows_here) {
-      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
-                               MemPath::kDram, /*with_y=*/!y_resident, y_path);
+      traffic->charge_pass(ctx.mem(), X, first_row, rows_here, MemPath::kDram);
+      if (!y_resident) {
+        traffic->charge_gather(ctx.mem(), X, first_row, rows_here, y_path);
+      }
       for (int v = 0; v < rows_here; ++v) {
         const auto r = static_cast<index_t>(first_row + v);
         out.value[static_cast<usize>(r)] =

@@ -44,6 +44,7 @@ OpResult spmv_t_atomic_scatter(vgpu::Device& dev, const la::CsrMatrix& X,
       static_cast<long long>(cfg.grid_size) * cfg.num_vectors_per_block();
   cfg.coarsening = static_cast<int>(
       (X.rows() + total_vectors - 1) / total_vectors);
+  const auto traffic = detail::warp_traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.cols()), real{0});
@@ -52,9 +53,7 @@ OpResult spmv_t_atomic_scatter(vgpu::Device& dev, const la::CsrMatrix& X,
                                                         int rows_here) {
       ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
                                 rows_here, sizeof(real));  // y[row]
-      detail::charge_warp_pass(ctx.mem(), X, first_row, rows_here, vs,
-                               MemPath::kDram, /*with_y=*/false,
-                               MemPath::kDram);
+      traffic->charge_pass(ctx.mem(), X, first_row, rows_here, MemPath::kDram);
       for (int v = 0; v < rows_here; ++v) {
         const auto r = static_cast<index_t>(first_row + v);
         const real yr = y[static_cast<usize>(r)];

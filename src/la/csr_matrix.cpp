@@ -33,6 +33,13 @@ CsrMatrix::CsrMatrix(index_t rows, index_t cols,
       }
     }
   }
+  memo_ = std::make_shared<StructureMemo>();
+}
+
+bool CsrMatrix::operator==(const CsrMatrix& other) const {
+  return rows_ == other.rows_ && cols_ == other.cols_ &&
+         row_off_ == other.row_off_ && col_idx_ == other.col_idx_ &&
+         values_ == other.values_;
 }
 
 index_t CsrMatrix::max_nnz_per_row() const {

@@ -2,6 +2,9 @@
 // (and cuSPARSE) operate on: (values, col_idx, row_off).
 #pragma once
 
+#include <array>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -26,7 +29,28 @@ class CsrMatrix {
   std::span<const offset_t> row_off() const { return row_off_; }
   std::span<const index_t> col_idx() const { return col_idx_; }
   std::span<const real> values() const { return values_; }
+  /// Values may change in place; the structure (row_off, col_idx) never
+  /// does once constructed.
   std::span<real> values_mut() { return values_; }
+
+  /// Slots of structure_memo(). The kernels keep their warp-traffic table
+  /// for vector size 2^k in slot k.
+  static constexpr usize kStructureMemoSlots = 6;
+
+  /// Data derived from the sparsity structure (row_off, col_idx) alone,
+  /// built by build() on first use of `slot` and shared by every copy of
+  /// this matrix (copies share the structure, which never changes) until
+  /// the last of them is destroyed. Thread-safe: build() runs at most once
+  /// per slot, under the memo's lock. A slot always holds the same type T.
+  template <typename T, typename Build>
+  std::shared_ptr<const T> structure_memo(usize slot, Build&& build) const {
+    // A default-constructed or moved-from matrix has no memo.
+    if (!memo_) return std::make_shared<const T>(build());
+    const std::lock_guard lock(memo_->mutex);
+    auto& entry = memo_->slots.at(slot);
+    if (!entry) entry = std::make_shared<const T>(build());
+    return std::static_pointer_cast<const T>(entry);
+  }
 
   /// Non-zeros of row r: [row_off[r], row_off[r+1]).
   offset_t row_begin(index_t r) const { return row_off_[static_cast<usize>(r)]; }
@@ -49,7 +73,8 @@ class CsrMatrix {
            row_off_.size() * sizeof(offset_t);
   }
 
-  bool operator==(const CsrMatrix&) const = default;
+  /// Compares contents; the structure memo is not part of the value.
+  bool operator==(const CsrMatrix& other) const;
 
  private:
   index_t rows_ = 0;
@@ -57,6 +82,12 @@ class CsrMatrix {
   std::vector<offset_t> row_off_;
   std::vector<index_t> col_idx_;
   std::vector<real> values_;
+
+  struct StructureMemo {
+    std::mutex mutex;
+    std::array<std::shared_ptr<const void>, kStructureMemoSlots> slots;
+  };
+  std::shared_ptr<StructureMemo> memo_;
 };
 
 }  // namespace fusedml::la

@@ -39,16 +39,19 @@ std::uint64_t strided_transactions(std::uint64_t first_byte, int active,
 
 std::uint64_t gather_transactions(std::span<const std::uint64_t> byte_addrs) {
   FUSEDML_CHECK(byte_addrs.size() <= 32, "a warp has at most 32 lanes");
-  if (byte_addrs.empty()) return 0;
-  std::array<std::uint64_t, 32> segments{};
-  usize n = 0;
-  for (std::uint64_t addr : byte_addrs) segments[n++] = segment_of(addr);
-  std::sort(segments.begin(), segments.begin() + n);
-  std::uint64_t count = 1;
-  for (usize i = 1; i < n; ++i) {
-    if (segments[i] != segments[i - 1]) ++count;
+  // Linear distinct count: at most 32 lanes, and neighbouring lanes mostly
+  // share the last segment seen, so the scan over `seen` is rarely taken.
+  std::array<std::uint64_t, 32> seen{};
+  usize distinct = 0;
+  for (const std::uint64_t addr : byte_addrs) {
+    const std::uint64_t s = segment_of(addr);
+    if (distinct != 0 && seen[distinct - 1] == s) continue;
+    if (std::find(seen.begin(), seen.begin() + distinct, s) ==
+        seen.begin() + distinct) {
+      seen[distinct++] = s;
+    }
   }
-  return count;
+  return distinct;
 }
 
 }  // namespace fusedml::vgpu

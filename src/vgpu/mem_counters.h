@@ -74,6 +74,8 @@ struct MemCounters {
   }
 
   std::uint64_t dram_bytes() const { return gld_bytes + gst_bytes; }
+
+  bool operator==(const MemCounters&) const = default;
 };
 
 }  // namespace fusedml::vgpu

@@ -32,6 +32,7 @@
 #include "kernels/spmv_transpose.h"
 #include "la/generate.h"
 #include "obs/trace.h"
+#include "test_util.h"
 #include "vgpu/device.h"
 #include "vgpu/fault_injector.h"
 
@@ -450,6 +451,197 @@ TEST(KernelGolden, EveryDeviceKernelIsPinned) {
     obs::recorder().clear();
     const OpResult r = run(dev);
     expect_golden(kernel_golden(), name, fingerprint(r));
+  }
+}
+
+// --- Every vector size ------------------------------------------------------
+
+// Each sparse row sweep at VS 1..32 on ragged matrices (empty rows, one row
+// longer than 32 * VS, a ragged last warp). The kernels with a VS option
+// run on one matrix with y gathers charged (texture_y off); the fused_row
+// kernels pick VS from mean nnz/row (Eq. 4), so they run on one matrix per
+// VS with n large enough that no gathered vector is texture-resident. The
+// fingerprints were produced by charging every warp through the step sweep
+// (warp_rows_pass / warp_rows_y_gather) at launch time, so they pin the
+// warp-traffic table to the sweep it is built from.
+const std::map<std::string, std::string>& vector_size_golden() {
+  static const std::map<std::string, std::string> g = {
+      {"fused_spmv_t/shared/vs1",
+       "n=2000 h=f784d2b3b894ed16 L=1 ms=0x1.6c201383e1d12p-6 c=13700,0,133448,0,0,0,56000,9716,2000,0,0,75432,0,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/shared/vs1",
+       "n=2000 h=feb63fd9e05ecfd2 L=1 ms=0x1.1f5eed54d2d8p-5 c=36047,0,343768,0,0,0,58000,9716,2000,0,0,75432,0,0,0,97901 k=fused_pattern_sparse/28x640"},
+      {"fused_spmv_t/global/vs1",
+       "n=2000 h=bb399d284358a733 L=1 ms=0x1.c79d8a56c7bd5p-7 c=13700,0,133448,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/global/vs1",
+       "n=2000 h=0f42fe4ea1b87fdd L=1 ms=0x1.b3e5736dac02bp-6 c=36047,0,343768,0,0,0,11716,0,2000,0,0,0,0,0,0,41901 k=fused_pattern_sparse/28x640"},
+      {"spmv_csr_vector/vs1",
+       "n=1037 h=6f2768ce87e29b59 L=1 ms=0x1.1daa053984565p-6 c=22319,65,202880,8296,0,0,0,0,0,0,0,0,0,0,0,19432 k=spmv_csr_vector/5x256"},
+      {"spmv_t_atomic_scatter/vs1",
+       "n=2000 h=12d3a8c1458aeb93 L=1 ms=0x1.c79d8a56c7bd5p-7 c=13700,0,133448,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=spmv_t_atomic_scatter/112x256"},
+      {"dev_masked_spmv/vs1",
+       "n=1037 h=35e1304302b88544 L=1 ms=0x1.a039f683f6c9ep-8 c=2367,65,31936,8296,0,1916,0,0,0,0,0,0,0,0,0,3896 k=masked_spmv/5x256"},
+      {"dev_fused_row/vs1",
+       "n=1037 h=176a3e91951dc3ec L=1 ms=0x1.a297ce8e85c8dp-8 c=2432,65,40232,8296,0,1916,0,0,0,0,0,0,0,0,0,11155 k=fused_row/5x256"},
+      {"dev_fused_sddmm/vs1",
+       "n=1037 h=91bc7d2b65fa9104 L=1 ms=0x1.a297ce8e85c8dp-8 c=2432,65,40232,8296,0,3832,0,0,0,0,0,0,0,0,0,13636 k=fused_sddmm/5x256"},
+      {"fused_spmv_t/shared/vs2",
+       "n=2000 h=82aed5f2fd59d337 L=1 ms=0x1.332e8a274dab6p-6 c=7444,0,133704,0,0,0,56000,9716,2000,0,0,75432,120,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/shared/vs2",
+       "n=2000 h=7c4a82d3461f0fc1 L=1 ms=0x1.856df21c298aep-6 c=15688,0,227432,0,7250,0,58000,9716,2000,0,0,75432,120,1037,0,97901 k=fused_pattern_sparse/28x640"},
+      {"fused_spmv_t/global/vs2",
+       "n=2000 h=bb399d284358a733 L=1 ms=0x1.55ba779d9f71bp-7 c=7444,0,133704,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/global/vs2",
+       "n=2000 h=3b2556fc6c0ba37d L=1 ms=0x1.f52b15c05fbafp-7 c=15688,0,227432,0,7250,0,11716,0,2000,0,0,0,0,1037,0,41901 k=fused_pattern_sparse/28x640"},
+      {"spmv_csr_vector/vs2",
+       "n=1037 h=8804802a010a8139 L=1 ms=0x1.bf27e0784b832p-7 c=15498,65,203136,8296,0,0,0,0,0,0,0,0,0,1037,0,19432 k=spmv_csr_vector/9x256"},
+      {"spmv_t_atomic_scatter/vs2",
+       "n=2000 h=12d3a8c1458aeb93 L=1 ms=0x1.55ba779d9f71bp-7 c=7444,0,133704,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=spmv_t_atomic_scatter/112x256"},
+      {"dev_masked_spmv/vs2",
+       "n=1037 h=f0b28fc1d601775b L=1 ms=0x1.97d0e30bbb968p-8 c=2136,65,53516,8296,0,3347,0,0,0,0,0,0,0,1037,0,7450 k=masked_spmv/9x256"},
+      {"dev_fused_row/vs2",
+       "n=1037 h=dac198c1803fd7e1 L=1 ms=0x1.9a2ebb164a956p-8 c=2201,65,61812,8296,0,3347,0,0,0,0,0,0,0,1037,0,14709 k=fused_row/9x256"},
+      {"dev_fused_sddmm/vs2",
+       "n=1037 h=ec3c202d3336bcf5 L=1 ms=0x1.c18a618ec009ep-8 c=2201,65,61812,8296,0,6694,0,0,0,0,0,0,0,1037,0,26075 k=fused_sddmm/9x256"},
+      {"fused_spmv_t/shared/vs4",
+       "n=2000 h=5f3b305a28afd804 L=1 ms=0x1.18d00a5712654p-6 c=4547,0,134224,0,0,0,56000,9716,2000,0,0,75432,353,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/shared/vs4",
+       "n=2000 h=f55e62ca577e1357 L=1 ms=0x1.69f0d5f04a20ep-6 c=12668,0,227952,0,4223,0,58000,9716,2000,0,0,75432,353,3111,0,97901 k=fused_pattern_sparse/28x640"},
+      {"fused_spmv_t/global/vs4",
+       "n=2000 h=bb399d284358a733 L=1 ms=0x1.20fd77fd28e59p-7 c=4547,0,134224,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/global/vs4",
+       "n=2000 h=dd78ac3bd94f26db L=1 ms=0x1.be30dd68a0e7p-7 c=12668,0,227952,0,4223,0,11716,0,2000,0,0,0,0,3111,0,41901 k=fused_pattern_sparse/28x640"},
+      {"spmv_csr_vector/vs4",
+       "n=1037 h=832fa040f3fbae2e L=1 ms=0x1.882da8208caf2p-7 c=12413,130,203656,8296,0,0,0,0,0,0,0,0,0,3111,0,19432 k=spmv_csr_vector/17x256"},
+      {"spmv_t_atomic_scatter/vs4",
+       "n=2000 h=12d3a8c1458aeb93 L=1 ms=0x1.20fd77fd28e59p-7 c=4547,0,134224,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=spmv_t_atomic_scatter/112x256"},
+      {"dev_masked_spmv/vs4",
+       "n=1037 h=d44605b1cea0b774 L=1 ms=0x1.af7ffc813713ep-8 c=2585,130,85380,8296,0,5703,0,0,0,0,0,0,0,3111,0,12674 k=masked_spmv/17x256"},
+      {"dev_fused_row/vs4",
+       "n=1037 h=b03783f34c03ebfe L=1 ms=0x1.af7ffc813713ep-8 c=2715,130,93676,8296,0,5703,0,0,0,0,0,0,0,3111,0,19933 k=fused_row/17x256"},
+      {"dev_fused_sddmm/vs4",
+       "n=1037 h=749f97cbec72f804 L=1 ms=0x1.0ba8f243c67p-7 c=2715,130,93676,8296,0,11406,0,0,0,0,0,0,0,3111,0,44359 k=fused_sddmm/17x256"},
+      {"fused_spmv_t/shared/vs8",
+       "n=2000 h=4467d38ab09f6a3d L=1 ms=0x1.0e744ee5e767ep-6 c=3409,0,135264,0,0,0,56000,9716,2000,0,0,75432,631,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/shared/vs8",
+       "n=2000 h=3db15a64f8de3d9c L=1 ms=0x1.602a3bfbd01f5p-6 c=11594,0,228992,0,2825,0,58000,9716,2000,0,0,75432,631,7259,0,97901 k=fused_pattern_sparse/28x640"},
+      {"fused_spmv_t/global/vs8",
+       "n=2000 h=bb399d284358a733 L=1 ms=0x1.0c46011ad2eacp-7 c=3409,0,135264,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/global/vs8",
+       "n=2000 h=06a2a34922eb83fb L=1 ms=0x1.aaa3a97face3dp-7 c=11594,0,228992,0,2825,0,11716,0,2000,0,0,0,0,7259,0,41901 k=fused_pattern_sparse/28x640"},
+      {"spmv_csr_vector/vs8",
+       "n=1037 h=4bc7b14834d7f5cf L=1 ms=0x1.74a0743798abep-7 c=11209,260,204696,8296,0,0,0,0,0,0,0,0,0,7259,0,19432 k=spmv_csr_vector/33x256"},
+      {"spmv_t_atomic_scatter/vs8",
+       "n=2000 h=12d3a8c1458aeb93 L=1 ms=0x1.0c46011ad2eacp-7 c=3409,0,135264,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=spmv_t_atomic_scatter/112x256"},
+      {"dev_masked_spmv/vs8",
+       "n=1037 h=2a51e0fa8e81918d L=1 ms=0x1.046578b907ac5p-7 c=3714,260,149060,8296,0,10608,0,0,0,0,0,0,0,7259,0,23114 k=masked_spmv/33x256"},
+      {"dev_fused_row/vs8",
+       "n=1037 h=c9cd5077e020c9f7 L=1 ms=0x1.046578b907ac5p-7 c=3974,260,157356,8296,0,10608,0,0,0,0,0,0,0,7259,0,30373 k=fused_row/33x256"},
+      {"dev_fused_sddmm/vs8",
+       "n=1037 h=08105a99a6a059d3 L=1 ms=0x1.64f3e7349eb4dp-7 c=3974,260,157356,8296,0,21216,0,0,0,0,0,0,0,7259,0,80899 k=fused_sddmm/33x256"},
+      {"fused_spmv_t/shared/vs16",
+       "n=2000 h=b2b1ac34d3577670 L=1 ms=0x1.0e76a36bda2bdp-6 c=3410,0,137336,0,0,0,56000,9716,2000,0,0,75432,710,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/shared/vs16",
+       "n=2000 h=d5bcc346e0aeefdb L=1 ms=0x1.61b4086913784p-6 c=11763,0,231064,0,2308,0,58000,9716,2000,0,0,75432,710,15555,0,97901 k=fused_pattern_sparse/28x640"},
+      {"fused_spmv_t/global/vs16",
+       "n=2000 h=bb399d284358a733 L=1 ms=0x1.0c4aaa26b872ap-7 c=3410,0,137336,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/global/vs16",
+       "n=2000 h=dd3847a492ae4146 L=1 ms=0x1.adb7425a3395bp-7 c=11763,0,231064,0,2308,0,11716,0,2000,0,0,0,0,15555,0,41901 k=fused_pattern_sparse/28x640"},
+      {"spmv_csr_vector/vs16",
+       "n=1037 h=0699795d9e171e03 L=1 ms=0x1.77b40d121f5dcp-7 c=11119,519,206768,8296,0,0,0,0,0,0,0,0,0,15555,0,19432 k=spmv_csr_vector/65x256"},
+      {"spmv_t_atomic_scatter/vs16",
+       "n=2000 h=12d3a8c1458aeb93 L=1 ms=0x1.0c4aaa26b872ap-7 c=3410,0,137336,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=spmv_t_atomic_scatter/112x256"},
+      {"dev_masked_spmv/vs16",
+       "n=1037 h=424e5494364d39c1 L=1 ms=0x1.67cd3efa70444p-7 c=5906,519,290608,8296,0,21529,0,0,0,0,0,0,0,15555,0,46360 k=masked_spmv/65x256"},
+      {"dev_fused_row/vs16",
+       "n=1037 h=b8ba5e90e775dc3a L=1 ms=0x1.67cd3efa70444p-7 c=6425,519,298904,8296,0,21529,0,0,0,0,0,0,0,15555,0,53619 k=fused_row/65x256"},
+      {"dev_fused_sddmm/vs16",
+       "n=1037 h=6972923e6d71194e L=1 ms=0x1.15e1b9dbb7f26p-6 c=6425,519,298904,8296,0,43058,0,0,0,0,0,0,0,15555,0,162260 k=fused_sddmm/65x256"},
+      {"fused_spmv_t/shared/vs32",
+       "n=2000 h=bbe8057409d22aab L=1 ms=0x1.1b3988ff5f37ep-6 c=4812,0,141480,0,0,0,56000,9716,2000,0,0,75432,751,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/shared/vs32",
+       "n=2000 h=adf0a7dfa995d622 L=1 ms=0x1.706e3f016dd62p-6 c=13381,0,235208,0,2674,0,58000,9716,2000,0,0,75432,751,32147,0,97901 k=fused_pattern_sparse/28x640"},
+      {"fused_spmv_t/global/vs32",
+       "n=2000 h=82cf8a7164cfb33d L=1 ms=0x1.25d0754dc28adp-7 c=4812,0,141480,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=fused_spmv_t/28x640"},
+      {"fused_pattern_sparse/global/vs32",
+       "n=2000 h=fef39cdadbec9254 L=1 ms=0x1.cb2baf8ae8518p-7 c=13381,0,235208,0,2674,0,11716,0,2000,0,0,0,0,32147,0,41901 k=fused_pattern_sparse/28x640"},
+      {"spmv_csr_vector/vs32",
+       "n=1037 h=8c93dd20c1122a81 L=1 ms=0x1.95287a42d419ap-7 c=12219,1037,210912,8296,0,0,0,0,0,0,0,0,0,32147,0,19432 k=spmv_csr_vector/112x256"},
+      {"spmv_t_atomic_scatter/vs32",
+       "n=2000 h=9e157e6b7032808c L=1 ms=0x1.25d0754dc28adp-7 c=4812,0,141480,0,0,0,9716,0,2000,0,0,0,0,0,0,9716 k=spmv_t_atomic_scatter/112x256"},
+      {"dev_masked_spmv/vs32",
+       "n=1037 h=72d08dd3306fdd40 L=1 ms=0x1.f83a0928266p-7 c=8134,1037,500804,8296,0,37396,0,0,0,0,0,0,0,32147,0,80702 k=masked_spmv/112x256"},
+      {"dev_fused_row/vs32",
+       "n=1037 h=b8a8e99b01077659 L=1 ms=0x1.f83a0928266p-7 c=9171,1037,509100,8296,0,37396,0,0,0,0,0,0,0,32147,0,87961 k=fused_row/112x256"},
+      {"dev_fused_sddmm/vs32",
+       "n=1037 h=07c260293931963b L=1 ms=0x1.a64e84096e0e1p-6 c=9171,1037,509100,8296,0,74792,0,0,0,0,0,0,0,32147,0,282457 k=fused_sddmm/112x256"},
+  };
+  return g;
+}
+
+TEST(KernelGolden, SparseSweepsAtEveryVectorSizeArePinned) {
+  RecorderScope rec;
+  const la::CsrMatrix Xo = test::ragged_csr(1037, 2000, 10, 51);
+  const auto yo_n = la::random_vector(2000, 52);
+  const auto yo_m = la::random_vector(1037, 53);
+  const auto yo_n2 = la::random_vector(2000, 54);
+  const index_t mean_nnz_for_vs[] = {1, 3, 6, 12, 25, 45};
+  const EwiseProgram prog = Inputs{}.program();
+  for (int i = 0; i < 6; ++i) {
+    const int vs = 1 << i;
+    const std::string at = "/vs" + std::to_string(vs);
+    using Run = std::function<OpResult(vgpu::Device&)>;
+    std::vector<std::pair<std::string, Run>> cases;
+    SpmvOptions so;
+    so.texture_y = false;
+    so.vector_size = vs;
+    FusedSparseOptions fo;
+    fo.texture_y = false;
+    fo.vector_size = vs;
+    for (const auto agg :
+         {tuner::Aggregation::kShared, tuner::Aggregation::kGlobal}) {
+      fo.aggregation = agg;
+      const std::string a =
+          agg == tuner::Aggregation::kShared ? "/shared" : "/global";
+      cases.emplace_back("fused_spmv_t" + a + at, [&, fo](vgpu::Device& d) {
+        return fused_spmv_t(d, Xo, yo_m, 0.75, fo);
+      });
+      cases.emplace_back("fused_pattern_sparse" + a + at,
+                         [&, fo](vgpu::Device& d) {
+                           return fused_pattern_sparse(d, 0.5, Xo, yo_m, yo_n,
+                                                       2.0, yo_n2, fo);
+                         });
+    }
+    cases.emplace_back("spmv_csr_vector" + at, [&](vgpu::Device& d) {
+      return spmv_csr_vector(d, Xo, yo_n, so);
+    });
+    cases.emplace_back("spmv_t_atomic_scatter" + at, [&](vgpu::Device& d) {
+      return spmv_t_atomic_scatter(d, Xo, yo_m, so);
+    });
+
+    const la::CsrMatrix Xr =
+        test::ragged_csr(1037, 7000, mean_nnz_for_vs[i], 60 + i);
+    ASSERT_EQ(vector_size_for(Xr.mean_nnz_per_row()), vs);
+    const auto yr_n = la::random_vector(7000, 61);
+    const auto yr_m = la::random_vector(1037, 62);
+    const auto yr_n2 = la::random_vector(7000, 63);
+    const auto vals = la::random_vector(static_cast<usize>(Xr.nnz()), 64);
+    cases.emplace_back("dev_masked_spmv" + at, [&](vgpu::Device& d) {
+      return dev_masked_spmv(d, Xr, vals, yr_n);
+    });
+    cases.emplace_back("dev_fused_row" + at, [&](vgpu::Device& d) {
+      const std::span<const real> ext[] = {yr_m};
+      return dev_fused_row(d, Xr, yr_n, prog, ext);
+    });
+    cases.emplace_back("dev_fused_sddmm" + at, [&](vgpu::Device& d) {
+      return dev_fused_sddmm(d, Xr, yr_m, yr_n, yr_n2, sigmoid);
+    });
+
+    for (const auto& [name, run] : cases) {
+      vgpu::Device dev;
+      obs::recorder().clear();
+      const OpResult r = run(dev);
+      expect_golden(vector_size_golden(), name, fingerprint(r));
+    }
   }
 }
 

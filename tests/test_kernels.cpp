@@ -3,14 +3,19 @@
 // counter sanity checks (the quantities the figures are built from).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
 #include <tuple>
+#include <vector>
 
+#include "common/error.h"
 #include "kernels/baselines.h"
 #include "kernels/blas1.h"
 #include "kernels/cpu_backend.h"
 #include "kernels/fused_dense.h"
 #include "kernels/fused_sparse.h"
 #include "kernels/gemv.h"
+#include "kernels/sparse_warp_accounting.h"
 #include "kernels/spmv.h"
 #include "kernels/spmv_transpose.h"
 #include "la/convert.h"
@@ -325,6 +330,149 @@ TEST(Counters, TextureOptionRoutesYLoads) {
 }
 
 // --- CPU backend ----------------------------------------------------------------
+
+// --- Warp-traffic table -----------------------------------------------------
+
+// Ragged rows (empty rows, one row longer than 32 * 32, a ragged last warp
+// at every VS), the shapes where a per-group table could diverge from the
+// per-warp step sweep it is built from.
+la::CsrMatrix ragged() { return test::ragged_csr(1037, 2000, 10, 71); }
+
+/// X's contents through the validating constructor: an equal matrix with a
+/// structure memo of its own.
+la::CsrMatrix rebuilt(const la::CsrMatrix& X) {
+  return la::CsrMatrix(X.rows(), X.cols(),
+                       {X.row_off().begin(), X.row_off().end()},
+                       {X.col_idx().begin(), X.col_idx().end()},
+                       {X.values().begin(), X.values().end()});
+}
+
+TEST(WarpTraffic, ChargesExactlyWhatThePerWarpSweepCounts) {
+  const la::CsrMatrix X = ragged();
+  for (int vs = 1; vs <= 32; vs *= 2) {
+    const auto table = detail::warp_traffic(X, vs);
+    const int rpw = table->rows_per_warp();
+    ASSERT_EQ(rpw, 32 / vs);
+    ASSERT_EQ(table->groups().size(),
+              static_cast<usize>((X.rows() + rpw - 1) / rpw));
+    vgpu::MemCounters from_table;
+    vgpu::MemCounters from_sweep;
+    vgpu::MemTracker t(from_table);
+    vgpu::MemTracker s(from_sweep);
+    for (long long first = 0; first < X.rows(); first += rpw) {
+      const auto here =
+          static_cast<int>(std::min<long long>(rpw, X.rows() - first));
+      const auto v = detail::warp_rows_pass(X, first, here, vs, sizeof(real));
+      const auto c =
+          detail::warp_rows_pass(X, first, here, vs, sizeof(index_t));
+      const auto g = detail::warp_rows_y_gather(X, first, here, vs);
+      const auto& group = table->groups()[static_cast<usize>(first / rpw)];
+      ASSERT_EQ(group.values, v.transactions) << "vs=" << vs << " row " << first;
+      ASSERT_EQ(group.cols, c.transactions) << "vs=" << vs << " row " << first;
+      ASSERT_EQ(group.gather, g.transactions) << "vs=" << vs << " row " << first;
+      for (const auto path : {vgpu::MemPath::kDram, vgpu::MemPath::kL2}) {
+        table->charge_pass(t, X, first, here, path);
+        s.load_precomputed(v.transactions, v.bytes, path);
+        s.load_precomputed(c.transactions, c.bytes, path);
+      }
+      table->charge_gather(t, X, first, here, vgpu::MemPath::kDram);
+      s.load_precomputed(g.transactions, g.bytes, vgpu::MemPath::kDram);
+    }
+    EXPECT_EQ(from_table, from_sweep) << "vs=" << vs;
+  }
+}
+
+TEST(WarpTraffic, CopiesShareOneTableAndOtherStructuresNever) {
+  const la::CsrMatrix X = ragged();
+  const auto table = detail::warp_traffic(X, 4);
+  EXPECT_EQ(detail::warp_traffic(X, 4), table) << "built once per VS";
+  EXPECT_NE(detail::warp_traffic(X, 8), table);
+  const la::CsrMatrix copy = X;
+  EXPECT_EQ(detail::warp_traffic(copy, 4), table);
+  const la::CsrMatrix moved = la::CsrMatrix(copy);
+  EXPECT_EQ(detail::warp_traffic(moved, 4), table);
+
+  // A separately built twin (equal contents) and a structurally different
+  // matrix each get their own table.
+  const la::CsrMatrix twin = rebuilt(X);
+  EXPECT_EQ(twin, X);
+  EXPECT_NE(detail::warp_traffic(twin, 4), table);
+  const la::CsrMatrix other = test::ragged_csr(1037, 2000, 10, 72);
+  EXPECT_NE(detail::warp_traffic(other, 4), table);
+
+  // The table lives exactly as long as the last matrix sharing it.
+  std::weak_ptr<const detail::WarpTraffic> weak;
+  {
+    const la::CsrMatrix temp = test::ragged_csr(100, 300, 5, 73);
+    weak = detail::warp_traffic(temp, 2);
+    EXPECT_FALSE(weak.expired());
+  }
+  EXPECT_TRUE(weak.expired());
+
+  EXPECT_THROW(detail::warp_traffic(X, 3), Error);
+  EXPECT_THROW(detail::warp_traffic(X, 64), Error);
+}
+
+TEST(WarpTraffic, ValueEditsKeepCountersExact) {
+  la::CsrMatrix X = ragged();
+  const auto y = random_vector(2000, 74);
+  const auto v = random_vector(1037, 75);
+  vgpu::Device dev;
+  const auto before = fused_pattern_sparse(dev, 0.5, X, v, y, 0.0, {});
+  for (real& x : X.values_mut()) x = -2 * x + 1;
+  const auto after = fused_pattern_sparse(dev, 0.5, X, v, y, 0.0, {});
+  // A fresh matrix with the edited values builds its own table.
+  const la::CsrMatrix fresh = rebuilt(X);
+  const auto expect = fused_pattern_sparse(dev, 0.5, fresh, v, y, 0.0, {});
+  EXPECT_EQ(after.counters, before.counters);
+  EXPECT_EQ(after.counters, expect.counters);
+  EXPECT_EQ(after.value, expect.value);
+  expect_vectors_near(la::reference::pattern(0.5, X, v, y, 0.0, {}),
+                      after.value);
+}
+
+TEST(WarpTraffic, ConcurrentFirstLaunchesChargeExactly) {
+  // Two threads launch on one fresh X at once, each on its own device that
+  // runs blocks on 4 host threads: both race to build X's table.
+  const la::CsrMatrix X = ragged();
+  const auto y = random_vector(2000, 76);
+  std::vector<OpResult> got(2);
+  std::vector<std::thread> threads;
+  for (usize t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      vgpu::Device dev(vgpu::gtx_titan(), {}, 4);
+      got[t] = fused_pattern_sparse(dev, 1.0, X, {}, y, 0.0, {});
+    });
+  }
+  for (auto& th : threads) th.join();
+  const la::CsrMatrix twin = rebuilt(X);
+  vgpu::Device seq;
+  const auto expect = fused_pattern_sparse(seq, 1.0, twin, {}, y, 0.0, {});
+  for (const auto& r : got) {
+    EXPECT_EQ(r.counters, expect.counters);
+    expect_vectors_near(expect.value, r.value);
+  }
+}
+
+TEST(FusedSparse, RejectsBlockSizesOffTheWarp) {
+  // A block that is not a whole number of warps would make two blocks
+  // sweep the same rows.
+  const auto X = uniform_sparse(2000, 300, 0.05, 77);
+  const auto y = random_vector(300, 78);
+  vgpu::Device dev;
+  FusedSparseOptions o;
+  o.vector_size = 16;
+  for (const int bs : {48, 80}) {
+    o.block_size = bs;
+    EXPECT_THROW(fused_pattern_sparse(dev, 1.0, X, {}, y, 0.0, {}, o), Error)
+        << "block size " << bs;
+    EXPECT_THROW(fused_spmv_t(dev, X, random_vector(2000, 79), 1.0, o), Error)
+        << "block size " << bs;
+  }
+  o.block_size = 256;
+  expect_vectors_near(la::reference::pattern(1.0, X, {}, y, 0.0, {}),
+                      fused_pattern_sparse(dev, 1.0, X, {}, y, 0.0, {}, o).value);
+}
 
 TEST(CpuBackend, MatchesReferencesAndTimes) {
   CpuBackend cpu;

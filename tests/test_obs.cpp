@@ -45,6 +45,14 @@ TraceEvent named_event(const std::string& name) {
   return ev;
 }
 
+/// "t<index>", built by appending: `"t" + std::to_string(t)` trips GCC 12's
+/// -Wrestrict false positive in optimized builds.
+std::string thread_event_name(int t) {
+  std::string name = "t";
+  name += std::to_string(t);
+  return name;
+}
+
 obs::DevicePeaks peaks_of(const vgpu::DeviceSpec& spec) {
   return {spec.mem_bandwidth_gbs, spec.peak_gflops_dp};
 }
@@ -83,7 +91,7 @@ TEST(TraceRecorder, ConcurrentWritersLoseNothingWithinCapacity) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&rec, t] {
       for (int i = 0; i < kEvents; ++i) {
-        rec.record(named_event("t" + std::to_string(t)));
+        rec.record(named_event(thread_event_name(t)));
       }
     });
   }
@@ -268,7 +276,7 @@ TEST(TraceRecorder, ConcurrentOverflowAccountsForEveryEvent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&rec, t] {
       for (int i = 0; i < kEvents; ++i) {
-        rec.record(named_event("t" + std::to_string(t)));
+        rec.record(named_event(thread_event_name(t)));
       }
     });
   }

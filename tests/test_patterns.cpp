@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "kernels/fused_dense.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
 #include "patterns/executor.h"

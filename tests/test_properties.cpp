@@ -4,8 +4,11 @@
 // cost-model sanity under random counter loads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "kernels/baselines.h"
 #include "kernels/fused_dense.h"
@@ -212,6 +215,52 @@ TEST(CoalescingProperties, GatherBoundedByLanesAndSpan) {
         vgpu::contiguous_transactions(addrs[0], static_cast<int>(lanes), 8);
     EXPECT_LE(contiguous, lanes + 1);
   }
+}
+
+/// Sort-based distinct-segment count: the reference gather_transactions'
+/// linear count must reproduce.
+std::uint64_t sorted_segment_count(std::vector<std::uint64_t> addrs) {
+  for (auto& a : addrs) a = vgpu::segment_of(a);
+  std::sort(addrs.begin(), addrs.end());
+  return static_cast<std::uint64_t>(
+      std::unique(addrs.begin(), addrs.end()) - addrs.begin());
+}
+
+TEST(CoalescingProperties, GatherMatchesSortedOracle) {
+  Rng rng(7);
+  std::vector<std::vector<std::uint64_t>> cases;
+  // Random addresses: sparse, clustered within a few segments, and huge.
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto lanes = static_cast<usize>(rng.uniform_index(33));
+    const std::uint64_t span = trial % 3 == 0   ? 1ull << 20
+                               : trial % 3 == 1 ? 512
+                                                : ~0ull >> 8;
+    std::vector<std::uint64_t> addrs(lanes);
+    for (auto& a : addrs) a = rng.uniform_index(span);
+    cases.push_back(std::move(addrs));
+  }
+  // Adversarial: the same segment revisited non-adjacently, segment
+  // boundaries, descending order, every lane distinct, address 0 and the
+  // top of the address space.
+  std::vector<std::uint64_t> interleaved, boundaries, descending, distinct;
+  for (std::uint64_t l = 0; l < 32; ++l) {
+    interleaved.push_back((l % 2) * 4096 + l);
+    boundaries.push_back((l + 1) / 2 * vgpu::kSegmentBytes - l % 2);
+    descending.push_back((31 - l) * 40);
+    distinct.push_back(l * vgpu::kSegmentBytes * 3);
+  }
+  cases.push_back(interleaved);
+  cases.push_back(boundaries);
+  cases.push_back(descending);
+  cases.push_back(distinct);
+  cases.push_back({0, ~0ull, 0, ~0ull - 127, 127});
+  cases.push_back({});
+  for (const auto& addrs : cases) {
+    EXPECT_EQ(vgpu::gather_transactions(addrs), sorted_segment_count(addrs))
+        << "lanes=" << addrs.size();
+  }
+  const std::vector<std::uint64_t> too_many(33, 0);
+  EXPECT_THROW(vgpu::gather_transactions(too_many), Error);
 }
 
 TEST(CoalescingProperties, ContiguousMonotoneInLanes) {
