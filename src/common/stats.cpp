@@ -1,6 +1,5 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -14,14 +13,6 @@ double mean(std::span<const double> xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double ss = 0.0;
-  for (double x : xs) ss += (x - m) * (x - m);
-  return std::sqrt(ss / static_cast<double>(xs.size() - 1));
-}
-
 double geomean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double log_sum = 0.0;
@@ -30,34 +21,6 @@ double geomean(std::span<const double> xs) {
     log_sum += std::log(x);
   }
   return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double percentile(std::span<const double> xs, double p) {
-  FUSEDML_CHECK(!xs.empty(), "percentile of empty span");
-  FUSEDML_CHECK(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double min_of(std::span<const double> xs) {
-  FUSEDML_CHECK(!xs.empty(), "min of empty span");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  FUSEDML_CHECK(!xs.empty(), "max of empty span");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-Summary summarize(std::span<const double> xs) {
-  if (xs.empty()) return {};
-  return Summary{mean(xs), stddev(xs), min_of(xs), percentile(xs, 50.0),
-                 max_of(xs)};
 }
 
 }  // namespace fusedml

@@ -1,35 +1,15 @@
-// Small descriptive-statistics helpers for bench result reporting.
+// Small descriptive-statistics helpers for bench result reporting. The one
+// quantile definition lives in obs::Histogram::percentile (nearest-rank).
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace fusedml {
 
 /// Arithmetic mean. Returns 0 for an empty span.
 double mean(std::span<const double> xs);
 
-/// Sample standard deviation (n-1 denominator). Returns 0 for n < 2.
-double stddev(std::span<const double> xs);
-
 /// Geometric mean — the right way to average speedups. All inputs must be > 0.
 double geomean(std::span<const double> xs);
-
-/// Linear-interpolated percentile, p in [0, 100].
-double percentile(std::span<const double> xs, double p);
-
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
-
-/// Summary of repeated measurements.
-struct Summary {
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double median = 0.0;
-  double max = 0.0;
-};
-
-Summary summarize(std::span<const double> xs);
 
 }  // namespace fusedml

@@ -3,18 +3,21 @@
 // class nothing else in the stack can see (vgpu::FaultKind::kSilentCorruption
 // perturbs a kernel's output without raising any error).
 //
-// The matrix ops are verified Huang–Abraham style with precomputed checksum
-// vectors, cached per matrix so the per-call check is one cheap reduction:
+// The matrix ops are verified Huang–Abraham style. Every check derives its
+// expected checksum from the operands it is handed, in one host pass over X,
+// and keeps nothing between calls — so an edited matrix or a reused weight
+// vector is never judged against a stale sum:
 //   product            p = X*y          : sum(p)  ?=  <colsum(X), y>
 //   transposed product w = a*X^T*y      : sum(w)  ?=  a * <rowsum(X), y>
 //   pattern (Eq. 1)    w = a*X^T(v⊙Xy)+bz : sum(w) ?= a * <k, y> + b * sum(z)
-//                      with k = X^T (v ⊙ rowsum(X))   (cached per (X, v))
+//                      with k = X^T (v ⊙ rowsum(X))
 // The observed-side sum runs as ONE device reduction launch (dev_dot against
-// a cached ones vector) so verification pays real modeled launch cost —
-// declared via OpProfile::verify_launches and accounted by the planner
-// audit. The elementwise/BLAS-1 ops are verified with host-side redundant
-// arithmetic (sum identities or straight recomputation); those checks issue
-// no device launches.
+// a ones vector) so verification pays real modeled launch cost — declared
+// via OpProfile::verify_launches and accounted by the planner audit. The
+// elementwise/BLAS-1 ops are verified with host-side redundant arithmetic
+// (sum identities or straight recomputation); those checks issue no device
+// launches. Each matrix check is written once over MatrixOperand, which
+// visits a CSR or dense matrix's stored entries row by row.
 //
 // Detection contract. The injected perturbation displaces one element by at
 // least (1 + max|value|); checks compare with a relative tolerance of
@@ -26,16 +29,14 @@
 // caller's execute_resilient loop treats it like any transient fault and
 // recomputes.
 //
-// VerifyPolicy::kSpot samples every spot_interval()-th GPU dispatch —
-// cheap continuous assurance; kFull checks every GPU dispatch — required
-// for the bit-exact guarantees of the chaos SDC soak. CPU results are
-// never checked (host arithmetic cannot be silently corrupted here).
+// VerifyPolicy::kSpot samples every kSpotInterval-th GPU dispatch — cheap
+// continuous assurance; kFull checks every GPU dispatch — required for the
+// bit-exact guarantees of the chaos SDC soak. CPU results are never checked
+// (host arithmetic cannot be silently corrupted here).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "common/types.h"
 #include "kernels/cpu_backend.h"
@@ -50,7 +51,7 @@ namespace fusedml::kernels {
 /// How much of the GPU dispatch stream ABFT verification covers.
 enum class VerifyPolicy {
   kOff,   ///< no checks (the default — zero overhead)
-  kSpot,  ///< every Nth GPU dispatch (N = spot_interval())
+  kSpot,  ///< every kSpotInterval-th GPU dispatch
   kFull,  ///< every GPU dispatch — bit-exact guarantee under SDC injection
 };
 
@@ -58,6 +59,9 @@ const char* to_string(VerifyPolicy policy);
 
 /// Relative tolerance of every checksum comparison.
 inline constexpr double kAbftRelTol = 1e-8;
+
+/// Spot-mode sampling period: every Nth GPU dispatch is verified.
+inline constexpr std::uint64_t kSpotInterval = 8;
 
 /// What one verification cost the op it checked (folded into the op's
 /// KernelOutcome accounting by the registry).
@@ -74,6 +78,40 @@ struct HostSums {
   real abs_sum = 0;
 };
 
+/// A check's matrix operand, CSR or dense (converts implicitly from both).
+class MatrixOperand {
+ public:
+  MatrixOperand(const la::CsrMatrix& X) : csr_(&X) {}
+  MatrixOperand(const la::DenseMatrix& X) : dense_(&X) {}
+
+  index_t rows() const { return csr_ ? csr_->rows() : dense_->rows(); }
+  index_t cols() const { return csr_ ? csr_->cols() : dense_->cols(); }
+
+  /// Calls f(k, c, x) for every stored entry x = X(r, c) of row r, in
+  /// storage order; k is the entry's storage index (the CSR nonzero index,
+  /// or r * cols() + c for dense).
+  template <typename F>
+  void for_row(index_t r, F&& f) const {
+    if (csr_) {
+      const auto vals = csr_->values();
+      const auto cols = csr_->col_idx();
+      for (offset_t p = csr_->row_begin(r); p < csr_->row_end(r); ++p) {
+        const auto k = static_cast<usize>(p);
+        f(k, static_cast<usize>(cols[k]), vals[k]);
+      }
+      return;
+    }
+    const auto row = dense_->row(r);
+    const usize base = static_cast<usize>(r) * row.size();
+    for (usize c = 0; c < row.size(); ++c) f(base + c, c, row[c]);
+  }
+
+ private:
+  const la::CsrMatrix* csr_ = nullptr;
+  const la::DenseMatrix* dense_ = nullptr;
+};
+
+/// Holds no state between checks beyond its policy and the spot counter.
 class AbftVerifier {
  public:
   AbftVerifier(vgpu::Device& dev, const CpuBackend& cpu)
@@ -82,36 +120,20 @@ class AbftVerifier {
   void set_policy(VerifyPolicy policy) { policy_ = policy; }
   VerifyPolicy policy() const { return policy_; }
 
-  /// Spot-mode sampling period: every Nth GPU dispatch is verified.
-  void set_spot_interval(int n);
-  int spot_interval() const { return spot_interval_; }
-
   /// Called once per GPU dispatch: advances the spot counter and returns
   /// whether THIS dispatch must be verified under the current policy.
   bool arm();
 
-  std::uint64_t checks() const { return checks_; }
-  std::uint64_t mismatches() const { return mismatches_; }
-
   // --- Matrix-op checks (one device reduction each) ----------------------
   // All throw SilentCorruptionError on mismatch (penalty = the check's own
   // modeled cost; the registry adds the doomed attempt's cost on rethrow).
-  VerifyCharge check_product(std::span<const real> p, const la::CsrMatrix& X,
-                             std::span<const real> y);
-  VerifyCharge check_product(std::span<const real> p, const la::DenseMatrix& X,
+  VerifyCharge check_product(std::span<const real> p, MatrixOperand X,
                              std::span<const real> y);
   VerifyCharge check_transposed_product(std::span<const real> w,
-                                        const la::CsrMatrix& X,
-                                        std::span<const real> y, real alpha);
-  VerifyCharge check_transposed_product(std::span<const real> w,
-                                        const la::DenseMatrix& X,
+                                        MatrixOperand X,
                                         std::span<const real> y, real alpha);
   VerifyCharge check_pattern(std::span<const real> w, real alpha,
-                             const la::CsrMatrix& X, std::span<const real> v,
-                             std::span<const real> y, real beta,
-                             std::span<const real> z);
-  VerifyCharge check_pattern(std::span<const real> w, real alpha,
-                             const la::DenseMatrix& X, std::span<const real> v,
+                             MatrixOperand X, std::span<const real> v,
                              std::span<const real> y, real beta,
                              std::span<const real> z);
 
@@ -132,44 +154,26 @@ class AbftVerifier {
                                  const EwiseProgram& program,
                                  std::span<const std::span<const real>> inputs);
 
-  // --- Sparsity-template checks (host-side recomputation, launch-free) ---
+  // --- Sparsity-template checks (host-side recomputation) ----------------
   // The row/sddmm family is verified by redundant host arithmetic over the
   // same per-element expressions the kernels evaluate; the reduction-style
   // checks scale their tolerance by the row's absolute term sum so
-  // device-vs-host summation order never false-positives.
+  // device-vs-host summation order never false-positives. fused_row and
+  // fused_sddmm read their device output back through one billed reduction.
   VerifyCharge check_outer_map(std::span<const real> out,
                                std::span<const real> u,
                                std::span<const real> v, real (*f)(real));
-  VerifyCharge check_sparse_mask(std::span<const real> out,
-                                 const la::CsrMatrix& X,
-                                 std::span<const real> om);
-  VerifyCharge check_sparse_mask(std::span<const real> out,
-                                 const la::DenseMatrix& X,
+  VerifyCharge check_sparse_mask(std::span<const real> out, MatrixOperand X,
                                  std::span<const real> om);
   VerifyCharge check_masked_product(std::span<const real> out,
-                                    const la::CsrMatrix& X,
+                                    MatrixOperand X,
                                     std::span<const real> vals,
                                     std::span<const real> z);
-  VerifyCharge check_masked_product(std::span<const real> out,
-                                    const la::DenseMatrix& X,
-                                    std::span<const real> vals,
-                                    std::span<const real> z);
-  VerifyCharge check_fused_row(std::span<const real> out,
-                               const la::CsrMatrix& X, std::span<const real> y,
-                               const EwiseProgram& program,
-                               std::span<const std::span<const real>> ext);
-  VerifyCharge check_fused_row(std::span<const real> out,
-                               const la::DenseMatrix& X,
+  VerifyCharge check_fused_row(std::span<const real> out, MatrixOperand X,
                                std::span<const real> y,
                                const EwiseProgram& program,
                                std::span<const std::span<const real>> ext);
-  VerifyCharge check_fused_sddmm(std::span<const real> out,
-                                 const la::CsrMatrix& X,
-                                 std::span<const real> u,
-                                 std::span<const real> v,
-                                 std::span<const real> z, real (*f)(real));
-  VerifyCharge check_fused_sddmm(std::span<const real> out,
-                                 const la::DenseMatrix& X,
+  VerifyCharge check_fused_sddmm(std::span<const real> out, MatrixOperand X,
                                  std::span<const real> u,
                                  std::span<const real> v,
                                  std::span<const real> z, real (*f)(real));
@@ -177,63 +181,23 @@ class AbftVerifier {
   static HostSums host_sums(std::span<const real> x);
 
  private:
-  struct MatKey {
-    const void* data = nullptr;
-    index_t rows = 0;
-    index_t cols = 0;
-    std::uint64_t nnz = 0;
-    bool operator==(const MatKey&) const = default;
-  };
-  struct MatKeyHash {
-    usize operator()(const MatKey& k) const;
-  };
-  /// Per-matrix checksum vectors, computed once on the host.
-  struct MatSums {
-    std::vector<real> row_sums;  ///< r_i = sum_j X(i,j)
-    std::vector<real> col_sums;  ///< c_j = sum_i X(i,j)
-  };
-  /// Per-(matrix, v) pattern checksum k = X^T (v ⊙ rowsum(X)), with a cheap
-  /// content fingerprint of v so a changed weight vector (GLM IRLS outer
-  /// iterations) recomputes k while the inner CG iterations reuse it.
-  struct PatternChecksum {
-    std::vector<real> k;
-    const void* v_data = nullptr;
-    usize v_size = 0;
-    real v_sum = 0;
-    real v_first = 0;
-    real v_last = 0;
-  };
-
-  const MatSums& sums_for(const la::CsrMatrix& X);
-  const MatSums& sums_for(const la::DenseMatrix& X);
-  const std::vector<real>& pattern_checksum(const la::CsrMatrix& X,
-                                            std::span<const real> v);
-  const std::vector<real>& pattern_checksum(const la::DenseMatrix& X,
-                                            std::span<const real> v);
-
-  /// The observed-side checksum: one dev_dot launch of `w` against a cached
-  /// ones vector. Folds the launch into `charge`. If the reduction launch
-  /// itself draws a silent-corruption fault, the check cannot be trusted —
-  /// it throws SilentCorruptionError immediately (a recompute follows).
-  real device_sum(std::span<const real> w, VerifyCharge& charge);
-
-  /// Tolerance-compared verdict shared by every check: books the check into
-  /// the metrics registry and throws SilentCorruptionError on mismatch.
-  void conclude(const char* what, real observed, real expected, real scale,
-                const VerifyCharge& charge);
-  [[noreturn]] void mismatch(const char* what, real observed, real expected,
-                             double penalty_ms);
+  /// The device-side checksum: sums `w` in one dev_dot launch against a
+  /// ones vector (inside a "verify:<what>" trace span) and compares it with
+  /// `expected`. If the reduction launch itself draws a silent-corruption
+  /// fault, the check cannot be trusted — it throws SilentCorruptionError
+  /// immediately (a recompute follows).
+  VerifyCharge check_sum(const char* what, std::span<const real> w,
+                         real expected, real scale);
+  /// check_sum over Σ expected, then every element screened on its own —
+  /// the tail of the fused_row/fused_sddmm checks.
+  VerifyCharge check_rows(const char* what, std::span<const real> out,
+                          std::span<const real> expected,
+                          std::span<const real> scale);
 
   vgpu::Device& dev_;
   const CpuBackend& cpu_;
   VerifyPolicy policy_ = VerifyPolicy::kOff;
-  int spot_interval_ = 8;
   std::uint64_t spot_counter_ = 0;
-  std::uint64_t checks_ = 0;
-  std::uint64_t mismatches_ = 0;
-  std::unordered_map<MatKey, MatSums, MatKeyHash> mat_sums_;
-  std::unordered_map<MatKey, PatternChecksum, MatKeyHash> pattern_sums_;
-  std::unordered_map<usize, std::vector<real>> ones_;
 };
 
 }  // namespace fusedml::kernels

@@ -11,16 +11,24 @@
 //     bit-exact value;
 //   - verification cost is billed exactly once (outcome launches/ms
 //     include it; the verify_* sub-buckets break it out);
+//   - every check, called directly on CSR and dense operands, passes a
+//     clean output and throws on one displaced element;
 //   - the FALSE-POSITIVE ORACLE: with zero faults, full verification over
-//     every ScriptLibrary entry (5 algorithms × {csr, dense} × 3 plan
-//     modes) detects nothing and is bit-exact with verification off;
+//     every ScriptLibrary entry (9 algorithms × {csr, dense} × 3 plan
+//     modes) detects nothing and is bit-exact with verification off, and
+//     in-place edits of X or v between two verified calls are re-checked;
 //   - SolverCheckpoint saves on cadence and rolls back transient faults
 //     only, within its budget;
 //   - the DeviceHealthBoard quarantines at the threshold, never drains the
 //     last healthy device, and releases probation on the modeled clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -301,6 +309,143 @@ TEST(SdcFalsePositiveOracle, FullVerifyIsExactOnCleanDevices) {
     ++covered;
   }
   EXPECT_EQ(covered, 9 * 2 * 3);  // the whole library
+}
+
+// The verifier keeps nothing between checks: a matrix edited in place and a
+// weight vector permuted in place (same address, size, sum, first and last
+// entries) are judged against checksums of what the op actually read.
+TEST(SdcFalsePositiveOracle, EditedMatrixValuesAreReverified) {
+  auto X = la::uniform_sparse(2000, 300, 0.05, 71);
+  auto Xd = la::csr_to_dense(la::uniform_sparse(400, 120, 0.3, 72));
+  const auto y = la::random_vector(300, 73);
+  const auto yd = la::random_vector(120, 74);
+  const auto edit = [](std::span<real> vals) {
+    for (real& v : vals) v = real{0.5} - 3 * v;
+  };
+  vgpu::Device dev;
+  OpRegistry reg(dev);
+  reg.set_verify_policy(VerifyPolicy::kFull);
+
+  EXPECT_NO_THROW(reg.product(Backend::kFused, X, y));
+  edit(X.values_mut());
+  EXPECT_NO_THROW(reg.product(Backend::kFused, X, y)) << "csr after edit";
+
+  EXPECT_NO_THROW(reg.product(Backend::kFused, Xd, yd));
+  edit(Xd.data());
+  EXPECT_NO_THROW(reg.product(Backend::kFused, Xd, yd)) << "dense after edit";
+}
+
+TEST(SdcFalsePositiveOracle, PermutedWeightsAreReverified) {
+  const auto X = la::uniform_sparse(2000, 300, 0.05, 75);
+  const auto Xd = la::csr_to_dense(X);
+  const auto y = la::random_vector(300, 76);
+  const auto z = la::random_vector(300, 77);
+  vgpu::Device dev;
+  OpRegistry reg(dev);
+  reg.set_verify_policy(VerifyPolicy::kFull);
+
+  const auto verify_twice = [&](const auto& M, const char* storage) {
+    SCOPED_TRACE(storage);
+    std::vector<real> v(2000);
+    for (usize i = 0; i < v.size(); ++i) v[i] = static_cast<real>(i % 7 + 1);
+    EXPECT_NO_THROW(reg.pattern(Backend::kFused, 0.5, M, v, y, 2.0, z));
+    std::swap(v[10], v[1500]);  // 4 <-> 3: sum, front and back unchanged
+    EXPECT_NO_THROW(reg.pattern(Backend::kFused, 0.5, M, v, y, 2.0, z))
+        << "after swapping two interior weights";
+  };
+  verify_twice(X, "csr");
+  verify_twice(Xd, "dense");
+}
+
+// --- Every check screens every element ---------------------------------------
+
+real sigmoid(real x) { return real{1} / (real{1} + std::exp(-x)); }
+
+// Each check, called directly on a clean output, passes; the same output
+// with its first, middle or last element displaced by 1 + max|value| (the
+// injector's perturbation) throws.
+TEST(SdcAbft, EveryCheckCatchesOneDisplacedElement) {
+  using Check = std::function<void(std::span<const real>)>;
+  const auto detects = [](const std::string& name,
+                          const std::vector<real>& clean, const Check& check) {
+    SCOPED_TRACE(name);
+    ASSERT_FALSE(clean.empty());
+    EXPECT_NO_THROW(check(clean));
+    real max_abs = 0;
+    for (real x : clean) max_abs = std::max(max_abs, std::abs(x));
+    for (const usize i : {usize{0}, clean.size() / 2, clean.size() - 1}) {
+      auto bad = clean;
+      bad[i] += 1 + max_abs;
+      EXPECT_THROW(check(bad), SilentCorruptionError) << "element " << i;
+    }
+  };
+
+  const auto X = la::uniform_sparse(60, 24, 0.2, 81);
+  const auto Xd = la::csr_to_dense(X);
+  const auto a = la::random_vector(60, 82);
+  const auto b = la::random_vector(60, 83);
+  const auto yn = la::random_vector(24, 84);
+  const auto zn = la::random_vector(24, 85);
+  const auto om = la::random_vector(60u * 24u, 86);
+  const auto vals_s = la::random_vector(static_cast<usize>(X.nnz()), 87);
+  const auto vals_d = la::random_vector(60u * 24u, 88);
+  kernels::EwiseProgram prog;  // 0.5 * (sigmoid(i0 * i1) + i0)
+  prog.num_inputs = 2;
+  prog.steps.push_back({kernels::EwiseOp::kMul, 0, 1, 1, nullptr, ""});
+  prog.steps.push_back({kernels::EwiseOp::kMap, 2, -1, 1, sigmoid, "sigmoid"});
+  prog.steps.push_back({kernels::EwiseOp::kAdd, 3, 0, 1, nullptr, ""});
+  prog.steps.push_back({kernels::EwiseOp::kScale, 4, -1, 0.5, nullptr, ""});
+  const std::span<const real> ext[] = {a};
+  const std::span<const real> chain_in[] = {a, b};
+
+  vgpu::Device dev;
+  OpRegistry reg(dev);  // kOff: the dispatches below check nothing
+  auto& abft = reg.verifier();
+  const auto F = Backend::kFused;
+
+  const auto matrix_checks = [&](const auto& M, std::span<const real> vals,
+                                 const std::string& storage) {
+    detects("product/" + storage, reg.product(F, M, yn).value,
+            [&](auto o) { abft.check_product(o, M, yn); });
+    detects("transposed_product/" + storage,
+            reg.transposed_product(F, M, a, 0.75).value,
+            [&](auto o) { abft.check_transposed_product(o, M, a, 0.75); });
+    detects("pattern/" + storage, reg.pattern(F, 0.5, M, a, yn, 2.0, zn).value,
+            [&](auto o) { abft.check_pattern(o, 0.5, M, a, yn, 2.0, zn); });
+    detects("sparse_mask/" + storage, reg.sparse_mask(F, M, om).value,
+            [&](auto o) { abft.check_sparse_mask(o, M, om); });
+    detects("masked_product/" + storage,
+            reg.masked_product(F, M, vals, yn).value,
+            [&](auto o) { abft.check_masked_product(o, M, vals, yn); });
+    detects("fused_row/" + storage, reg.fused_row(F, M, yn, prog, ext).value,
+            [&](auto o) { abft.check_fused_row(o, M, yn, prog, ext); });
+    detects("fused_sddmm/" + storage,
+            reg.fused_sddmm(F, M, a, yn, zn, sigmoid, "sigmoid").value,
+            [&](auto o) { abft.check_fused_sddmm(o, M, a, yn, zn, sigmoid); });
+  };
+  matrix_checks(X, vals_s, "csr");
+  matrix_checks(Xd, vals_d, "dense");
+
+  std::vector<real> axpy_y = b;
+  reg.axpy(F, 1.5, a, axpy_y);
+  const auto sa = kernels::AbftVerifier::host_sums(a);
+  const auto sb = kernels::AbftVerifier::host_sums(b);
+  detects("axpy", axpy_y, [&](auto o) { abft.check_axpy(o, 1.5, sa, sb); });
+  std::vector<real> scal_x = a;
+  reg.scal(F, -0.25, scal_x);
+  detects("scal", scal_x, [&](auto o) { abft.check_scal(o, -0.25, sa); });
+  detects("dot", reg.dot(F, a, b).value,
+          [&](auto o) { abft.check_dot(o[0], a, b); });
+  detects("nrm2", reg.nrm2(F, a).value,
+          [&](auto o) { abft.check_nrm2(o[0], a); });
+  detects("ewise_mul", reg.ewise_mul(F, a, b).value,
+          [&](auto o) { abft.check_ewise_mul(o, a, b); });
+  detects("map", reg.map(F, a, sigmoid, "sigmoid").value,
+          [&](auto o) { abft.check_map(o, a, sigmoid); });
+  detects("fused_ewise", reg.fused_ewise(F, prog, chain_in).value,
+          [&](auto o) { abft.check_ewise_chain(o, prog, chain_in); });
+  detects("outer_map", reg.outer_map(F, a, yn, sigmoid, "sigmoid").value,
+          [&](auto o) { abft.check_outer_map(o, a, yn, sigmoid); });
 }
 
 // --- Solver checkpoint/rollback ---------------------------------------------
